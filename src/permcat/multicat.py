@@ -20,7 +20,6 @@ from .errors import (
     BoundExceededError,
     ComposabilityError,
     MalformedStructureError,
-    UnsupportedFragmentError,
 )
 from .perms import (
     Permutation,
@@ -447,9 +446,11 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
                       objects: Sequence | None = None) -> CheckReport:
     """Exhaustively check the multicategory axioms within the bound.
 
-    Composition instances that a view refuses to evaluate (outside its
-    supported fragment) are skipped, not failed; tables are total so
-    nothing is skipped for them.
+    Composition instances that cannot be evaluated within the arity bound,
+    or that a view refuses to evaluate (outside its supported fragment),
+    are unknown and not counted.  An instance with an ill-typed leg (a
+    missing table entry or a boundary mismatch) is a counted violation
+    witnessed ``ill-typed``.
     """
     A = max_arity if max_arity is not None else M.max_arity
     if A is None:
@@ -485,88 +486,53 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
             units = tuple(M.unit(x) for x in profile)
             report.expect("right-unity", M.compose(op, units), op, ("right", op))
 
-    SKIP = object()
-    BROKEN = object()
-
-    def try_compose(outer, inners):
-        try:
-            return M.compose(outer, inners)
-        except (NotImplementedError, BoundExceededError, UnsupportedFragmentError):
-            return SKIP
-        except (ComposabilityError, MalformedStructureError):
-            return BROKEN
-
     composables = []
     for profile, outer in all_ops:
         if not profile:
             continue
         for inners in _inner_tuples(index, objs, profile, A):
-            result = try_compose(outer, inners)
-            if result is SKIP:
-                continue
-            if result is BROKEN:
-                report.violation("composition-typing", ("untabulated", outer, inners))
-                continue
-            composables.append((outer, inners, result))
-            concat = tuple(x for i in inners for x in M.profile_of(i))
-            report.expect("composition-typing",
-                          (M.output_of(result), M.profile_of(result)),
-                          (M.output_of(outer), concat), (outer, inners))
+            # only composites that could be typed enter the index that the
+            # equivariance and associativity checks run over
+            def typed_composite():
+                result = M.compose(outer, inners)
+                boundary = (M.output_of(result), M.profile_of(result))
+                composables.append((outer, inners, result))
+                return boundary
 
-    def try_act(op, perm):
-        try:
-            return M.act(op, perm)
-        except (ComposabilityError, MalformedStructureError):
-            return BROKEN
+            report.evaluate("composition-typing", typed_composite,
+                            lambda: (M.output_of(outer),
+                                     tuple(x for i in inners for x in M.profile_of(i))),
+                            (outer, inners))
 
     for outer, inners, result in composables:
         n = len(inners)
         arities = tuple(M.arity_of(i) for i in inners)
         for s in all_perms(n):
-            acted = try_act(outer, s)
-            lhs = BROKEN if acted is BROKEN else try_compose(acted, perm_act(s, inners))
-            if lhs is SKIP:
-                continue
-            report.count("top-equivariance")
-            rhs = try_act(result, block_perm(s, arities))
-            if BROKEN in (lhs, rhs) or lhs != rhs:
-                report.violation("top-equivariance", (outer, inners, s.images))
+            report.evaluate("top-equivariance",
+                            lambda: M.compose(M.act(outer, s), perm_act(s, inners)),
+                            lambda: M.act(result, block_perm(s, arities)),
+                            (outer, inners, s.images))
         for taus in itertools.product(*(list(all_perms(k)) for k in arities)):
-            lhs = try_compose(outer, tuple(M.act(i, t) for i, t in zip(inners, taus)))
-            if lhs is SKIP:
-                continue
-            report.count("bottom-equivariance")
-            rhs = try_act(result, block_sum(taus))
-            if BROKEN in (lhs, rhs) or lhs != rhs:
-                report.violation("bottom-equivariance",
-                                 (outer, inners, tuple(t.images for t in taus)))
+            report.evaluate("bottom-equivariance",
+                            lambda: M.compose(outer, tuple(
+                                M.act(i, t) for i, t in zip(inners, taus))),
+                            lambda: M.act(result, block_sum(taus)),
+                            (outer, inners, tuple(t.images for t in taus)))
 
     for outer, middles, mid_comp in composables:
-        mid_profiles = [M.profile_of(m) for m in middles]
-        flat = tuple(x for p in mid_profiles for x in p)
+        flat = tuple(x for m in middles for x in M.profile_of(m))
         for inners in _inner_tuples(index, objs, flat, A):
-            lhs = try_compose(mid_comp, inners)
-            if lhs in (SKIP, BROKEN):
-                continue
-            split = []
+            chunks = []
             pos = 0
             for m in middles:
                 k = M.arity_of(m)
-                split.append(inners[pos:pos + k])
+                chunks.append(inners[pos:pos + k])
                 pos += k
-            partial = []
-            for m, chunk in zip(middles, split):
-                val = try_compose(m, chunk)
-                if val in (SKIP, BROKEN):
-                    partial = None
-                    break
-                partial.append(val)
-            if partial is None:
-                continue
-            rhs = try_compose(outer, tuple(partial))
-            if rhs in (SKIP, BROKEN):
-                continue
-            report.expect("associativity", lhs, rhs, (outer, middles, inners))
+            report.evaluate("associativity",
+                            lambda: M.compose(mid_comp, inners),
+                            lambda: M.compose(outer, tuple(
+                                M.compose(m, chunk) for m, chunk in zip(middles, chunks))),
+                            (outer, middles, inners))
 
     return report
 
@@ -600,13 +566,11 @@ def validate_multifunctor(H: Multifunctor, max_arity: int | None = None,
         if not profile:
             continue
         for inners in _inner_tuples(index, objs, profile, A):
-            try:
-                composite = M.compose(outer, inners)
-                rhs = N.compose(H.on_op(outer), tuple(H.on_op(i) for i in inners))
-            except (BoundExceededError, UnsupportedFragmentError):
-                continue
-            report.expect("composition-preservation", H.on_op(composite), rhs,
-                          (outer, inners))
+            report.evaluate("composition-preservation",
+                            lambda: H.on_op(M.compose(outer, inners)),
+                            lambda: N.compose(H.on_op(outer),
+                                              tuple(H.on_op(i) for i in inners)),
+                            (outer, inners))
     return report
 
 
@@ -631,10 +595,8 @@ def validate_multinat(theta: MultiNat, max_arity: int | None = None,
     index = _op_index(M, objs, A)
     for (target, profile), ops in index.items():
         for op in ops:
-            try:
-                lhs = N.compose(theta.at(target), (P.on_op(op),))
-                rhs = N.compose(Q.on_op(op), tuple(theta.at(x) for x in profile))
-            except (BoundExceededError, UnsupportedFragmentError):
-                continue
-            report.expect("naturality", lhs, rhs, ("square", op))
+            report.evaluate("naturality",
+                            lambda: N.compose(theta.at(target), (P.on_op(op),)),
+                            lambda: N.compose(Q.on_op(op), tuple(theta.at(x) for x in profile)),
+                            ("square", op))
     return report

@@ -18,21 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import BoundExceededError, ComposabilityError, MalformedStructureError
 from .perms import Permutation, Profile, perm_act
-from .reports import CheckReport
-
-_SKIP = object()
-
-
-def _try(fn, *args):
-    """Evaluate, treating out-of-bound composites as skippable.
-
-    Views over arity-truncated bases cannot evaluate every instance; the
-    axiom checks are restricted to in-bound composites.
-    """
-    try:
-        return fn(*args)
-    except BoundExceededError:
-        return _SKIP
+from .reports import CheckReport, once
 
 
 @dataclass(frozen=True)
@@ -147,8 +133,10 @@ def validate_permcat(C, objects: Sequence | None = None,
 
     ``interchange_objects`` optionally restricts the two quadratic-cost
     diagrams (sum interchange, morphism-level sum associativity) to a
-    smaller window; by default they run over the full window.  Ill-typed
-    components (a leg that cannot even be composed) are violations.
+    smaller window; by default they run over the full window.  Instances
+    with a leg beyond the bound of a truncated view are not counted;
+    ill-typed components (a leg that cannot even be composed) are
+    violations.
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
@@ -156,18 +144,6 @@ def validate_permcat(C, objects: Sequence | None = None,
     heavy_objs = objs if interchange_objects is None else tuple(interchange_objects)
     heavy = (mors if interchange_objects is None else
              [f for x in heavy_objs for y in heavy_objs for f in C.hom(x, y)])
-
-    plain_expect = report.expect
-
-    def guarded_expect(axiom, lhs, rhs, witness):
-        try:
-            return plain_expect(axiom, lhs() if callable(lhs) else lhs,
-                                rhs() if callable(rhs) else rhs, witness)
-        except (ComposabilityError, MalformedStructureError):
-            report.count(axiom)
-            report.violation(axiom, ("ill-typed",) + tuple(
-                witness if isinstance(witness, tuple) else (witness,)))
-            return False
 
     for x in objs:
         i = C.identity(x)
@@ -179,20 +155,13 @@ def validate_permcat(C, objects: Sequence | None = None,
         for g in mors:
             if C.src(g) != C.tgt(f):
                 continue
-            gf = _try(C.compose, g, f)
-            if gf is _SKIP:
-                continue
+            gf = once(lambda: C.compose(g, f))
             for h in mors:
                 if C.src(h) != C.tgt(g):
                     continue
-                lhs = _try(C.compose, h, gf)
-                hg = _try(C.compose, h, g)
-                if lhs is _SKIP or hg is _SKIP:
-                    continue
-                rhs = _try(C.compose, hg, f)
-                if rhs is _SKIP:
-                    continue
-                report.expect("category-associativity", lhs, rhs, (h, g, f))
+                report.evaluate("category-associativity",
+                                lambda: C.compose(h, gf()),
+                                lambda: C.compose(C.compose(h, g), f), (h, g, f))
 
     for x in objs:
         report.expect("sum-unity", C.sum_obj(C.unit, x), x, ("left", x))
@@ -218,19 +187,14 @@ def validate_permcat(C, objects: Sequence | None = None,
         for f2 in heavy:
             if C.src(f2) != C.tgt(f):
                 continue
-            f2f = _try(C.compose, f2, f)
-            if f2f is _SKIP:
-                continue
+            f2f = once(lambda: C.compose(f2, f))
             for g2 in heavy:
                 if C.src(g2) != C.tgt(g):
                     continue
-                g2g = _try(C.compose, g2, g)
-                rhs = _try(C.compose, C.sum_mor(f2, g2), C.sum_mor(f, g))
-                if g2g is _SKIP or rhs is _SKIP:
-                    continue
-                report.expect("sum-functoriality",
-                              C.sum_mor(f2f, g2g), rhs,
-                              ("interchange", f2, f, g2, g))
+                report.evaluate("sum-functoriality",
+                                lambda: C.sum_mor(f2f(), C.compose(g2, g)),
+                                lambda: C.compose(C.sum_mor(f2, g2), C.sum_mor(f, g)),
+                                ("interchange", f2, f, g2, g))
     for f, g, h in itertools.product(heavy, repeat=3):
         report.expect("sum-associativity",
                       C.sum_mor(C.sum_mor(f, g), h), C.sum_mor(f, C.sum_mor(g, h)),
@@ -240,23 +204,23 @@ def validate_permcat(C, objects: Sequence | None = None,
         s = C.xi(x, y)
         report.expect("symmetry-typing",
                       (C.src(s), C.tgt(s)), (C.sum_obj(x, y), C.sum_obj(y, x)), (x, y))
-        guarded_expect("symmetry-involution",
-                       lambda x=x, y=y, s=s: C.compose(C.xi(y, x), s),
-                       C.identity(C.sum_obj(x, y)), (x, y))
+        report.evaluate("symmetry-involution",
+                        lambda: C.compose(C.xi(y, x), s),
+                        lambda: C.identity(C.sum_obj(x, y)), (x, y))
     for x in objs:
         report.expect("unit-symmetry", C.xi(x, C.unit), C.identity(x), ("right", x))
         report.expect("unit-symmetry", C.xi(C.unit, x), C.identity(x), ("left", x))
     for f, g in itertools.product(mors, repeat=2):
-        guarded_expect(
+        report.evaluate(
             "symmetry-naturality",
-            lambda f=f, g=g: C.compose(C.xi(C.tgt(f), C.tgt(g)), C.sum_mor(f, g)),
-            lambda f=f, g=g: C.compose(C.sum_mor(g, f), C.xi(C.src(f), C.src(g))),
+            lambda: C.compose(C.xi(C.tgt(f), C.tgt(g)), C.sum_mor(f, g)),
+            lambda: C.compose(C.sum_mor(g, f), C.xi(C.src(f), C.src(g))),
             (f, g))
     for x, y, z in itertools.product(objs, repeat=3):
-        guarded_expect(
+        report.evaluate(
             "hexagon",
-            lambda x=x, y=y, z=z: C.xi(x, C.sum_obj(y, z)),
-            lambda x=x, y=y, z=z: C.compose(
+            lambda: C.xi(x, C.sum_obj(y, z)),
+            lambda: C.compose(
                 C.sum_mor(C.identity(y), C.xi(x, z)),
                 C.sum_mor(C.xi(x, y), C.identity(z))),
             (x, y, z))
@@ -333,8 +297,9 @@ def _is_invertible(C, f) -> bool | None:
     checker = getattr(C, "is_invertible", None)
     if checker is not None:
         return checker(f)
-    candidates = _try(C.hom, C.tgt(f), C.src(f))
-    if candidates is _SKIP:
+    try:
+        candidates = C.hom(C.tgt(f), C.src(f))
+    except BoundExceededError:
         return None
     return any(C.compose(g, f) == C.identity(C.src(f))
                and C.compose(f, g) == C.identity(C.tgt(f))
@@ -358,13 +323,9 @@ def validate_smf(P: SymMonFunctor, objects: Sequence | None = None) -> CheckRepo
         for g in mors:
             if C.src(g) != C.tgt(f):
                 continue
-            gf = _try(C.compose, g, f)
-            if gf is _SKIP:
-                continue
-            rhs = _try(D.compose, P.on_mor(g), P.on_mor(f))
-            if rhs is _SKIP:
-                continue
-            report.expect("functor-composition", P.on_mor(gf), rhs, (g, f))
+            report.evaluate("functor-composition",
+                            lambda: P.on_mor(C.compose(g, f)),
+                            lambda: D.compose(P.on_mor(g), P.on_mor(f)), (g, f))
 
     m0 = P.unit_constraint()
     report.expect("unit-constraint-typing",
@@ -591,35 +552,28 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                               ("typing", j, X, X2))
                 if any(x == P.sources[i].unit for i, x in enumerate(X)) or X2 == Cj.unit:
                     report.expect("constraint-unity", c, D.identity(D.src(c)), (j, X, X2))
-        def guarded(axiom, lhs_fn, rhs_fn, witness):
-            try:
-                report.expect(axiom, lhs_fn(), rhs_fn(), witness)
-            except (ComposabilityError, MalformedStructureError):
-                report.count(axiom)
-                report.violation(axiom, ("ill-typed",) + witness)
-
         for fs in mor_tuples:
             for f2 in hom_lists[j - 1]:
                 X = tuple(S.src(f) for S, f in zip(P.sources, fs))
                 Y = tuple(S.tgt(f) for S, f in zip(P.sources, fs))
-                guarded(
+                report.evaluate(
                     "constraint-naturality",
-                    lambda j=j, fs=fs, f2=f2, Y=Y: D.compose(
+                    lambda: D.compose(
                         P.constraint(j, Y, Cj.tgt(f2)),
                         D.sum_mor(P.on_mor(fs), P.on_mor(replace_at(fs, j, f2)))),
-                    lambda j=j, fs=fs, f2=f2, X=X: D.compose(
+                    lambda: D.compose(
                         P.on_mor(replace_at(fs, j, Cj.sum_mor(fs[j - 1], f2))),
                         P.constraint(j, X, Cj.src(f2))),
                     (j, fs, f2))
         for X in obj_tuples:
             for X2, X3 in itertools.product(wins[j - 1], repeat=2):
-                guarded(
+                report.evaluate(
                     "constraint-associativity",
-                    lambda j=j, X=X, X2=X2, X3=X3: D.compose(
+                    lambda: D.compose(
                         P.constraint(j, X, Cj.sum_obj(X2, X3)),
                         D.sum_mor(D.identity(P.on_obj(X)),
                                   P.constraint(j, replace_at(X, j, X2), X3))),
-                    lambda j=j, X=X, X2=X2, X3=X3: D.compose(
+                    lambda: D.compose(
                         P.constraint(j, replace_at(X, j, Cj.sum_obj(X[j - 1], X2)), X3),
                         D.sum_mor(P.constraint(j, X, X2),
                                   D.identity(P.on_obj(replace_at(X, j, X3))))),
@@ -627,15 +581,15 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         for X in obj_tuples:
             for X2 in wins[j - 1]:
                 swapped = replace_at(X, j, X2)
-                guarded(
+                report.evaluate(
                     "constraint-symmetry",
-                    lambda j=j, X=X, X2=X2: D.compose(
+                    lambda: D.compose(
                         P.on_mor(tuple(
                             Cj.xi(X[j - 1], X2) if i == j - 1
                             else P.sources[i].identity(X[i])
                             for i in range(P.arity))),
                         P.constraint(j, X, X2)),
-                    lambda j=j, X=X, X2=X2, swapped=swapped: D.compose(
+                    lambda: D.compose(
                         P.constraint(j, swapped, X[j - 1]),
                         D.xi(P.on_obj(X), P.on_obj(swapped))),
                     (j, X, X2))
@@ -648,15 +602,14 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                     Xk4 = replace_at(X, k, X4)
                     Xboth = replace_at(Xj2, k, X4)
 
-                    def path1(j=j, k=k, X=X, X2=X2, X4=X4, Xk4=Xk4):
+                    def path1():
                         jsum = replace_at(X, j, Cj.sum_obj(X[j - 1], X2))
                         return D.compose(
                             P.constraint(k, jsum, X4),
                             D.sum_mor(P.constraint(j, X, X2),
                                       P.constraint(j, Xk4, X2)))
 
-                    def path2(j=j, k=k, X=X, X2=X2, X4=X4,
-                              Xj2=Xj2, Xk4=Xk4, Xboth=Xboth):
+                    def path2():
                         shuffle = D.sum_mor(
                             D.sum_mor(
                                 D.identity(P.on_obj(X)),
@@ -670,13 +623,7 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                                           P.constraint(k, Xj2, X4)),
                                 shuffle))
 
-                    try:
-                        report.expect("constraint-2x2", path1(), path2(),
-                                      (j, k, X, X2, X4))
-                    except (ComposabilityError, MalformedStructureError):
-                        report.count("constraint-2x2")
-                        report.violation("constraint-2x2",
-                                         ("ill-typed", j, k, X, X2, X4))
+                    report.evaluate("constraint-2x2", path1, path2, (j, k, X, X2, X4))
 
     report.metadata["classification"] = ("strict" if all_strict else
                                          "strong" if all_strong else "lax")

@@ -203,10 +203,6 @@ def finmap_direct_sum(f: FinMap, g: FinMap) -> FinMap:
     return FinMap(f.domain + g.domain, f.codomain + g.codomain, images)
 
 
-def perm_to_finmap(sigma: Permutation) -> FinMap:
-    return FinMap(sigma.degree, sigma.degree, sigma.images)
-
-
 def grid_rank(indices: Sequence[int], sizes: Sequence[int]) -> int:
     """Reverse-lexicographic rank of a grid index tuple; the first index
     varies fastest.

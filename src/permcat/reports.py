@@ -4,10 +4,25 @@ Every validator in the package returns a :class:`CheckReport`.  Violations
 are data, not exceptions; a report passes iff it has none.  Witness
 rendering is deterministic (no set iteration, keys sorted) so identical
 inputs produce byte-identical serialized reports.
+
+:meth:`CheckReport.evaluate` is the one place that decides what an
+exception raised by an axiom leg means: a leg outside the bound or the
+supported fragment makes the instance unknown (not counted), an ill-typed
+leg is a counted violation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .errors import (
+    BoundExceededError,
+    ComposabilityError,
+    MalformedStructureError,
+    UnsupportedFragmentError,
+)
+
+UNKNOWN = (BoundExceededError, UnsupportedFragmentError)
+ILL_TYPED = (ComposabilityError, MalformedStructureError)
 
 
 def render(value) -> str:
@@ -20,6 +35,26 @@ def render(value) -> str:
         items = sorted(value.items(), key=lambda kv: kv[0])
         return "{" + ", ".join(f"{k}: {render(v)}" for k, v in items) + "}"
     return repr(value)
+
+
+def once(thunk):
+    """``thunk`` evaluated at most once; later calls return its value or
+    re-raise its out-of-bound or ill-typed error.  For an intermediate
+    shared by several instances, each of which then reports its outcome."""
+    outcome = []
+
+    def shared():
+        if not outcome:
+            try:
+                outcome.append((True, thunk()))
+            except UNKNOWN + ILL_TYPED as exc:
+                outcome.append((False, exc))
+        ok, value = outcome[0]
+        if ok:
+            return value
+        raise value.with_traceback(None)
+
+    return shared
 
 
 @dataclass
@@ -54,13 +89,17 @@ class CheckReport:
     structure: str
     checks: list[AxiomCheck] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    _by_axiom: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for c in self.checks:
+            self._by_axiom.setdefault(c.axiom, c)
 
     def check(self, axiom: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c
-        c = AxiomCheck(axiom)
-        self.checks.append(c)
+        c = self._by_axiom.get(axiom)
+        if c is None:
+            c = self._by_axiom[axiom] = AxiomCheck(axiom)
+            self.checks.append(c)
         return c
 
     def count(self, axiom: str, n: int = 1) -> None:
@@ -76,6 +115,32 @@ class CheckReport:
             self.violation(axiom, witness)
             return False
         return True
+
+    def evaluate(self, axiom: str, lhs, rhs, witness: tuple) -> None:
+        """:meth:`expect` on two zero-argument thunks for the legs.
+
+        A leg outside the bound or the supported fragment leaves the
+        instance unknown: nothing is counted.  An ill-typed leg is one
+        counted instance and a violation witnessed ``("ill-typed", *witness)``.
+        """
+        try:
+            left, right = lhs(), rhs()
+        except UNKNOWN:
+            return
+        except ILL_TYPED:
+            self.count(axiom)
+            self.violation(axiom, ("ill-typed", *witness))
+            return
+        self.expect(axiom, left, right, witness)
+
+    def absorb(self, sub: "CheckReport", prefix: str = "") -> None:
+        """Fold ``sub`` in: checks summed by ``prefix`` + name in first-seen
+        order, metadata merged."""
+        for c in sub.checks:
+            target = self.check(prefix + c.axiom)
+            target.instances += c.instances
+            target.violations.extend(Violation(target.axiom, v.witness) for v in c.violations)
+        self.metadata.update(sub.metadata)
 
     @property
     def passed(self) -> bool:
@@ -103,12 +168,6 @@ class CheckReport:
         if self.metadata:
             payload["metadata"] = {k: self.metadata[k] for k in sorted(self.metadata)}
         return payload
-
-    def merged(self, other: "CheckReport") -> "CheckReport":
-        report = CheckReport(self.structure)
-        report.checks = list(self.checks) + list(other.checks)
-        report.metadata = {**self.metadata, **other.metadata}
-        return report
 
     def summary(self) -> str:
         lines = [f"{self.structure}: {self.verdict}"]

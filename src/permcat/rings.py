@@ -11,18 +11,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ComposabilityError, MalformedStructureError
+from .errors import MalformedStructureError
 from .permcats import FinPermCat, validate_permcat
 from .reports import CheckReport
-
-
-def _guarded(report: CheckReport, axiom: str, lhs, rhs, witness) -> None:
-    """Evaluate both legs lazily; an ill-typed leg is a violation."""
-    try:
-        report.expect(axiom, lhs(), rhs(), witness)
-    except (ComposabilityError, MalformedStructureError):
-        report.count(axiom)
-        report.violation(axiom, ("ill-typed",) + tuple(witness))
 
 
 @dataclass(frozen=True)
@@ -85,49 +76,42 @@ class EnData:
     exchanges: Mapping
 
 
-def _merge(report: CheckReport, sub: CheckReport, prefix: str) -> None:
-    for check in sub.checks:
-        target = report.check(f"{prefix}{check.axiom}")
-        target.instances += check.instances
-        target.violations.extend(check.violations)
-
-
-def _validate_strict_monoidal(C: FinPermCat, P: StrictProduct,
-                              report: CheckReport, prefix: str = "") -> None:
+def _validate_strict_monoidal(C: FinPermCat, P: StrictProduct) -> CheckReport:
+    report = CheckReport("strict-monoidal")
     objs = C.objects
     mors = C.morphisms()
-    ax = lambda name: f"{prefix}{name}"
     for x in objs:
-        report.expect(ax("multiplicative-unity"), P.on_obj(P.unit, x), x, ("left", x))
-        report.expect(ax("multiplicative-unity"), P.on_obj(x, P.unit), x, ("right", x))
+        report.expect("multiplicative-unity", P.on_obj(P.unit, x), x, ("left", x))
+        report.expect("multiplicative-unity", P.on_obj(x, P.unit), x, ("right", x))
     for x, y, z in itertools.product(objs, repeat=3):
-        report.expect(ax("multiplicative-associativity"),
+        report.expect("multiplicative-associativity",
                       P.on_obj(P.on_obj(x, y), z), P.on_obj(x, P.on_obj(y, z)),
                       (x, y, z))
     for f in mors:
         e_id = C.identity(P.unit)
-        report.expect(ax("multiplicative-unity"), P.on_mor(e_id, f), f, ("left", f))
-        report.expect(ax("multiplicative-unity"), P.on_mor(f, e_id), f, ("right", f))
+        report.expect("multiplicative-unity", P.on_mor(e_id, f), f, ("left", f))
+        report.expect("multiplicative-unity", P.on_mor(f, e_id), f, ("right", f))
     for x, y in itertools.product(objs, repeat=2):
-        report.expect(ax("multiplicative-functoriality"),
+        report.expect("multiplicative-functoriality",
                       P.on_mor(C.identity(x), C.identity(y)),
                       C.identity(P.on_obj(x, y)), ("identities", x, y))
     for f, g in itertools.product(mors, repeat=2):
         fg = P.on_mor(f, g)
-        report.expect(ax("multiplicative-typing"),
+        report.expect("multiplicative-typing",
                       (C.src(fg), C.tgt(fg)),
                       (P.on_obj(C.src(f), C.src(g)), P.on_obj(C.tgt(f), C.tgt(g))),
                       (f, g))
         for f2, g2 in itertools.product(mors, repeat=2):
             if C.src(f2) != C.tgt(f) or C.src(g2) != C.tgt(g):
                 continue
-            report.expect(ax("multiplicative-functoriality"),
+            report.expect("multiplicative-functoriality",
                           P.on_mor(C.compose(f2, f), C.compose(g2, g)),
                           C.compose(P.on_mor(f2, g2), fg), (f2, f, g2, g))
     for f, g, h in itertools.product(mors, repeat=3):
-        report.expect(ax("multiplicative-associativity"),
+        report.expect("multiplicative-associativity",
                       P.on_mor(P.on_mor(f, g), h), P.on_mor(f, P.on_mor(g, h)),
                       ("morphisms", f, g, h))
+    return report
 
 
 def _component(table: Mapping, key, report: CheckReport, axiom: str):
@@ -145,8 +129,8 @@ def validate_ring_category(R: RingCatData) -> CheckReport:
     one = P.unit
     objs = C.objects
     mors = C.morphisms()
-    _merge(report, validate_permcat(C), "additive-")
-    _validate_strict_monoidal(C, P, report)
+    report.absorb(validate_permcat(C), "additive-")
+    report.absorb(_validate_strict_monoidal(C, P))
 
     for a, b, c in itertools.product(objs, repeat=3):
         dl = _component(R.left_fact, (a, b, c), report, "factorization-typing")
@@ -289,8 +273,8 @@ def validate_bipermutative(B: BipermData) -> CheckReport:
     report.structure = f"{R.name}-bipermutative"
     C, P = R.additive, R.product
     zero = C.unit
-    _merge(report, validate_permcat(_mult_as_permcat(R, B.mult_symmetry)),
-           "multiplicative-")
+    report.absorb(validate_permcat(_mult_as_permcat(R, B.mult_symmetry)),
+                  "multiplicative-")
     for a in C.objects:
         key = (a, zero)
         comp = _component(B.mult_symmetry, key, report, "zero-symmetry")
@@ -298,13 +282,11 @@ def validate_bipermutative(B: BipermData) -> CheckReport:
             report.expect("zero-symmetry", comp, C.identity(zero), (a,))
     for a, b, c in itertools.product(C.objects, repeat=3):
         xt = B.mult_symmetry.__getitem__
-        _guarded(report, "multiplicative-symmetry-factorization",
-                 lambda a=a, b=b, c=c: C.compose(
-                     xt((C.sum_obj(a, b), c)), R.left_fact[a, b, c]),
-                 lambda a=a, b=b, c=c: C.compose(
-                     R.right_fact[c, a, b],
-                     C.sum_mor(xt((a, c)), xt((b, c)))),
-                 (a, b, c))
+        report.evaluate("multiplicative-symmetry-factorization",
+                        lambda: C.compose(xt((C.sum_obj(a, b), c)), R.left_fact[a, b, c]),
+                        lambda: C.compose(R.right_fact[c, a, b],
+                                          C.sum_mor(xt((a, c)), xt((b, c)))),
+                        (a, b, c))
     return report
 
 
@@ -374,7 +356,7 @@ def validate_nfold_monoidal(D: NFoldData) -> CheckReport:
     one = D.products[0].unit
     for i, P in enumerate(D.products, start=1):
         report.expect("shared-unit", P.unit, one, ("unit", i))
-        _validate_strict_monoidal(C, P, report, prefix=f"product{i}-")
+        report.absorb(_validate_strict_monoidal(C, P), f"product{i}-")
 
     def eta(i, j, a, b, c, d):
         return D.exchanges[i, j, a, b, c, d]
@@ -466,10 +448,10 @@ def validate_en_monoidal(E: EnData) -> CheckReport:
         ring = RingCatData(f"{E.name}[{i}]", C, E.products[i - 1],
                            E.left_facts[i - 1], E.right_facts[i - 1])
         sub = validate_ring_category(ring)
-        _merge(report, sub, f"ring{i}-")
+        report.absorb(sub, f"ring{i}-")
         tight = tight and sub.metadata.get("tight", False)
     nfold = NFoldData(f"{E.name}-nfold", C, E.products, E.exchanges)
-    _merge(report, validate_nfold_monoidal(nfold), "")
+    report.absorb(validate_nfold_monoidal(nfold))
     zero = C.unit
     objs = C.objects
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

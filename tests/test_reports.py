@@ -1,0 +1,173 @@
+"""The report kernel: lazy evaluation of axiom instances and report merging."""
+import ast
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from mutation import gamma_mutant
+from permcat.errors import (
+    BoundExceededError,
+    ComposabilityError,
+    MalformedStructureError,
+    UnsupportedFragmentError,
+)
+from permcat.fixtures import sign_permcat
+from permcat.multicat import terminal_multicat, validate_multicat
+from permcat.permcats import validate_permcat
+from permcat.reports import CheckReport, once
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "permcat"
+
+
+def raises(exc):
+    def thunk():
+        raise exc("leg")
+    return thunk
+
+
+def summary_of(report):
+    return [(c.axiom, c.instances, [v.witness for v in c.violations])
+            for c in report.checks]
+
+
+class TestEvaluate:
+    def test_pass(self):
+        report = CheckReport("r")
+        report.evaluate("ax", lambda: 1, lambda: 1, ("w",))
+        assert summary_of(report) == [("ax", 1, [])]
+        assert report.passed
+
+    def test_fail(self):
+        report = CheckReport("r")
+        report.evaluate("ax", lambda: 1, lambda: 2, ("w", 3))
+        assert summary_of(report) == [("ax", 1, ["(w, 3)"])]
+        assert not report.passed
+
+    @pytest.mark.parametrize("exc", [BoundExceededError, UnsupportedFragmentError])
+    def test_unknown_leg_counts_nothing(self, exc):
+        report = CheckReport("r")
+        report.evaluate("ax", raises(exc), lambda: 1, ("w",))
+        report.evaluate("ax", lambda: 1, raises(exc), ("w",))
+        assert report.checks == []
+        assert report.total_instances() == 0
+        assert report.passed
+
+    @pytest.mark.parametrize("exc", [ComposabilityError, MalformedStructureError])
+    def test_ill_typed_leg_is_a_counted_violation(self, exc):
+        report = CheckReport("r")
+        report.evaluate("ax", raises(exc), lambda: 1, ("w", 1))
+        report.evaluate("ax", lambda: 1, raises(exc), ("v",))
+        assert summary_of(report) == [("ax", 2, ["(ill-typed, w, 1)", "(ill-typed, v)"])]
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(KeyError):
+            CheckReport("r").evaluate("ax", raises(KeyError), lambda: 1, ("w",))
+
+    def test_once_shares_value_and_exception(self):
+        calls = []
+
+        def compose():
+            calls.append(1)
+            raise ComposabilityError("no")
+
+        shared = once(compose)
+        report = CheckReport("r")
+        for w in range(3):
+            report.evaluate("ax", shared, lambda: 1, (w,))
+        assert len(calls) == 1
+        assert report.check("ax").instances == 3
+        assert once(lambda: 7)() == 7
+
+
+class TestAbsorb:
+    def sub(self):
+        sub = CheckReport("sub", metadata={"tight": False, "kind": "sub"})
+        sub.expect("b", 1, 1, ("x",))
+        sub.expect("a", 1, 2, ("y",))
+        sub.count("a", 2)
+        return sub
+
+    def test_sums_by_name_in_first_seen_order(self):
+        report = CheckReport("top", metadata={"tight": True, "own": 1})
+        report.expect("a", 1, 1, ("z",))
+        report.absorb(self.sub())
+        assert summary_of(report) == [("a", 4, ["(y)"]), ("b", 1, [])]
+        assert report.structure == "top"
+        assert report.metadata == {"tight": False, "own": 1, "kind": "sub"}
+        report.expect("c", 1, 1, ("z",))
+        assert [c.axiom for c in report.checks] == ["a", "b", "c"]
+
+    def test_prefix(self):
+        report = CheckReport("top")
+        report.absorb(self.sub(), "ring1-")
+        report.absorb(self.sub(), "ring1-")
+        assert summary_of(report) == [("ring1-b", 2, []), ("ring1-a", 6, ["(y)", "(y)"])]
+        assert [v.axiom for v in report.violations()] == ["ring1-a", "ring1-a"]
+
+
+def test_missing_composite_is_a_failing_report():
+    C = sign_permcat()
+    composition = dict(C.composition)
+    del composition["0:-", "0:-"]
+    report = validate_permcat(replace(C, composition=composition))
+    assert not report.passed
+    assert "category-associativity" in report.violated_axioms()
+    assert all(v.witness.startswith("(ill-typed, ")
+               for c in report.checks if c.axiom == "category-associativity"
+               for v in c.violations)
+
+
+def test_missing_gamma_entry_is_a_counted_typing_violation():
+    M = terminal_multicat(2)
+    gamma = dict(M.gamma)
+    del gamma["i2", ("i0", "i1")]
+    complete = validate_multicat(M).check("composition-typing")
+    typing = validate_multicat(replace(M, gamma=gamma)).check("composition-typing")
+    assert typing.instances == complete.instances
+    assert [v.witness for v in typing.violations] == ["(ill-typed, i2, (i0, i1))"]
+
+
+def test_terminal_gamma_mutant_counts():
+    mutant = gamma_mutant(terminal_multicat(4), "i1", ("i2",), "i3")
+    report = validate_multicat(mutant)
+    checks = {c.axiom: c for c in report.checks}
+    assert (checks["associativity"].instances,
+            len(checks["associativity"].violations)) == (5096, 392)
+
+    def ill_typed(axiom):
+        return sum(v.witness.startswith("(ill-typed, ") for v in checks[axiom].violations)
+
+    assert (ill_typed("associativity"), ill_typed("top-equivariance"),
+            ill_typed("bottom-equivariance")) == (15, 1, 2)
+
+
+GUARDED = {"ComposabilityError", "MalformedStructureError", "ILL_TYPED"}
+
+
+def _caught(handler: ast.ExceptHandler) -> set:
+    if handler.type is None:
+        return set()
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id if isinstance(t, ast.Name) else t.attr
+            for t in types if isinstance(t, (ast.Name, ast.Attribute))}
+
+
+def _guarded_handlers(node, function=None):
+    """(innermost enclosing function, line) of each handler catching GUARDED."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler) and _caught(child) & GUARDED:
+            yield function, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _guarded_handlers(child, inner)
+
+
+def test_only_reports_decides_what_ill_typed_means():
+    """No module but ``reports`` catches the ill-typed errors, apart from
+    the CLI's top-level handler that maps them to exit code 2."""
+    offenders = [(path.name, function, line)
+                 for path in sorted(SRC.glob("*.py")) if path.name != "reports.py"
+                 for function, line in _guarded_handlers(
+                     ast.parse(path.read_text(encoding="utf-8")))]
+    assert [(name, function) for name, function, _ in offenders] == [("cli.py", "run_command")], \
+        offenders
