@@ -48,6 +48,9 @@ def loads(text: str) -> dict:
         raise DocumentError("document must be an object with a 'kind' tag")
     if payload["kind"] not in KINDS:
         raise DocumentError(f"unknown kind {payload['kind']!r}; expected one of {KINDS}")
+    version = payload.get("version")
+    if type(version) is not int or version != VERSION:
+        raise DocumentError(f"unsupported version {version!r}; expected {VERSION}")
     return payload
 
 
@@ -55,6 +58,12 @@ def _need(payload: Mapping, key: str, context: str):
     if key not in payload:
         raise DocumentError(f"{context}: missing field {key!r}")
     return payload[key]
+
+
+def _put(table: dict, key, value, context: str, what: str) -> None:
+    if key in table:
+        raise DocumentError(f"{context}: duplicate {what} {key!r}")
+    table[key] = value
 
 
 # ---------------------------------------------------------------- multicat
@@ -97,7 +106,7 @@ def multicat_from_doc(payload: Mapping) -> FinMulticat:
         if len(inputs) > max_arity:
             raise DocumentError(f"{context}: operation {record['id']!r} exceeds "
                                 f"the arity bound {max_arity}")
-        operations[record["id"]] = (out, inputs)
+        _put(operations, record["id"], (out, inputs), context, "operation")
 
     def resolve(op, where):
         if op not in operations:
@@ -115,12 +124,14 @@ def multicat_from_doc(payload: Mapping) -> FinMulticat:
     sigma = {}
     for record in _need(payload, "sigma", context):
         op = resolve(record["op"], "sigma row")
-        sigma[op, tuple(record["perm"])] = resolve(record["result"], "sigma row")
+        _put(sigma, (op, tuple(record["perm"])), resolve(record["result"], "sigma row"),
+             context, "sigma row")
     gamma = {}
     for record in _need(payload, "gamma", context):
         outer = resolve(record["outer"], "gamma row")
         inners = tuple(resolve(i, "gamma row") for i in record["inners"])
-        gamma[outer, inners] = resolve(record["result"], "gamma row")
+        _put(gamma, (outer, inners), resolve(record["result"], "gamma row"),
+             context, "gamma row")
 
     M = FinMulticat(payload.get("name", "multicat"), objects, max_arity,
                     operations, units, sigma, gamma)

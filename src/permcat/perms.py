@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ComposabilityError, DegreeMismatchError
@@ -163,13 +164,26 @@ class FinMap:
         return self.domain == self.codomain and all(
             v == i + 1 for i, v in enumerate(self.images))
 
+    @cached_property
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """Every fiber, ascending, computed once in one pass:
+        ``fibers[j-1]`` is the preimage of ``j``.
+
+        >>> FinMap(3, 2, (1, 2, 1)).fibers
+        ((1, 3), (2,))
+        """
+        fibers: list[list[int]] = [[] for _ in range(self.codomain)]
+        for i, j in enumerate(self.images, start=1):
+            fibers[j - 1].append(i)
+        return tuple(map(tuple, fibers))
+
     def preimage(self, j: int) -> tuple[int, ...]:
-        """The fiber over ``j``, ascending.
+        """The fiber over ``j``, ascending; empty outside ``1..codomain``.
 
         >>> FinMap(3, 2, (1, 2, 1)).preimage(1)
         (1, 3)
         """
-        return tuple(i for i in range(1, self.domain + 1) if self.images[i - 1] == j)
+        return self.fibers[j - 1] if 1 <= j <= self.codomain else ()
 
     def as_permutation(self) -> Permutation:
         if self.domain != self.codomain:
@@ -298,6 +312,8 @@ def sigma_kgf(f: FinMap, g: FinMap, k: int) -> Permutation:
     concatenation ``(+)_{j in g^{-1}(k)} x_{f^{-1}(j)}`` to
     ``x_{(gf)^{-1}(k)}`` under its right action.
 
+    ``(gf)^{-1}(k)`` is that concatenation sorted ascending, so the result
+    is the (1-indexed) argsort of the concatenation; ``gf`` is never built.
     Degree ``|(gf)^{-1}(k)|``; computed over index positions.
 
     >>> sigma_kgf(FinMap(3, 2, (1, 2, 1)), terminal_map(2), 1).images
@@ -307,12 +323,9 @@ def sigma_kgf(f: FinMap, g: FinMap, k: int) -> Permutation:
         raise ComposabilityError("codomain(f) != domain(g)")
     if not 1 <= k <= g.codomain:
         raise ValueError(f"k={k} out of range 1..{g.codomain}")
-    concat: list[int] = []
-    for j in g.preimage(k):
-        concat.extend(f.preimage(j))
-    target = finmap_compose(g, f).preimage(k)
-    position = {idx: pos for pos, idx in enumerate(concat, start=1)}
-    return Permutation(tuple(position[idx] for idx in target))
+    concat = [i for j in g.preimage(k) for i in f.preimage(j)]
+    order = sorted(range(len(concat)), key=concat.__getitem__)
+    return Permutation(tuple(pos + 1 for pos in order))
 
 
 def profiles(objects: Iterable, max_len: int) -> Iterator[Profile]:

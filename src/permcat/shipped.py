@@ -7,8 +7,6 @@ to exercise exit code 1) are derived from the clean ones.
 """
 from __future__ import annotations
 
-import pathlib
-
 from . import documents as docs
 from .fixtures import (
     bool_en,
@@ -98,15 +96,3 @@ MUTANTS = {
     "mutant-unresolved.json": lambda: UNRESOLVED,
 }
 
-
-def write_all(directory: str) -> list[str]:
-    target = pathlib.Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in sorted(SHIPPED):
-        (target / name).write_text(render(name), encoding="utf-8")
-        written.append(name)
-    for name in sorted(MUTANTS):
-        (target / name).write_text(MUTANTS[name](), encoding="utf-8")
-        written.append(name)
-    return written

@@ -104,6 +104,15 @@ class TestExitCodes:
         assert code == 2
         assert "unknown operation" in err
 
+    def test_unsupported_version(self, capsys, tmp_path):
+        payload = json.loads((DOCS / "sign.json").read_text(encoding="utf-8"))
+        payload["version"] = 99
+        path = tmp_path / "sign-v99.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert "unsupported version 99" in err
+
     def test_kind_mismatch(self, capsys):
         code, out, err = run(capsys, ["check-ring", "--level", "ring",
                                       doc("sign.json")])

@@ -1,5 +1,7 @@
 """Document parsing, canonical serialization, and round trips."""
+import json
 import pathlib
+import re
 
 import pytest
 
@@ -61,6 +63,26 @@ class TestErrors:
     def test_unknown_kind(self):
         with pytest.raises(DocumentError, match="unknown kind"):
             loads('{"kind": "octopus"}')
+
+    @pytest.mark.parametrize("version", [99, 0, "1", 1.5, True, None])
+    def test_unsupported_version(self, version):
+        with pytest.raises(DocumentError, match="unsupported version"):
+            loads(json.dumps({"kind": "permcat", "version": version}))
+
+    def test_missing_version(self):
+        with pytest.raises(DocumentError, match="unsupported version None"):
+            loads('{"kind": "permcat"}')
+
+    @pytest.mark.parametrize("table, duplicate", [
+        ("operations", "operation 'p'"),
+        ("sigma", "sigma row ('p', (1, 2))"),
+        ("gamma", "gamma row ('p', ('u', 'u'))"),
+    ])
+    def test_duplicate_row_rejected(self, table, duplicate):
+        payload = json.loads((DOCS / "swap-operad.json").read_text())
+        payload[table].insert(1, dict(payload[table][0]))
+        with pytest.raises(DocumentError, match=re.escape(f"duplicate {duplicate}")):
+            parse_document(dumps(payload))
 
     def test_unresolved_reference(self):
         text = (DOCS / "mutant-unresolved.json").read_text()

@@ -224,6 +224,63 @@ class TestSigmaKgf:
             sigma_kgf(identity_map(2), identity_map(2), 3)
 
 
+def all_finmaps(r, s):
+    for images in itertools.product(range(1, s + 1), repeat=r):
+        yield FinMap(r, s, images)
+
+
+def composable_pairs():
+    """Every f:[r]->[s], g:[s]->[t] with r <= 4 and s, t <= 3."""
+    for r, s, t in itertools.product(range(5), range(4), range(4)):
+        for f in all_finmaps(r, s):
+            for g in all_finmaps(s, t):
+                yield f, g
+
+
+def filter_fiber(f, j):
+    return tuple(i for i in range(1, f.domain + 1) if f(i) == j)
+
+
+class TestFiberKernelsExhaustive:
+    def test_fibers_and_preimage_match_filter_definition(self):
+        for r, s in itertools.product(range(5), range(4)):
+            for f in all_finmaps(r, s):
+                assert f.fibers == tuple(filter_fiber(f, j) for j in range(1, s + 1))
+                for j in range(0, s + 2):
+                    assert f.preimage(j) == filter_fiber(f, j)
+
+    def test_sigma_kgf_is_the_unique_brute_force_permutation(self):
+        for f, g in composable_pairs():
+            for k in range(1, g.codomain + 1):
+                concat = tuple(i for j in filter_fiber(g, k) for i in filter_fiber(f, j))
+                target = tuple(i for i in range(1, f.domain + 1) if g(f(i)) == k)
+                solutions = [p for p in all_perms(len(concat))
+                             if perm_act(p, concat) == target]
+                assert solutions == [sigma_kgf(f, g, k)]
+
+    def test_sigma_kgf_never_builds_the_composite(self, monkeypatch):
+        import permcat.perms
+
+        def refuse(g, f):
+            raise AssertionError("sigma_kgf composed the maps")
+
+        monkeypatch.setattr(permcat.perms, "finmap_compose", refuse)
+        for f, g in composable_pairs():
+            for k in range(1, g.codomain + 1):
+                concat = tuple(i for j in g.preimage(k) for i in f.preimage(j))
+                target = tuple(i for i in range(1, f.domain + 1) if g(f(i)) == k)
+                assert perm_act(sigma_kgf(f, g, k), concat) == target
+
+    def test_reading_fibers_keeps_value_semantics(self):
+        read = FinMap(4, 3, (2, 1, 2, 3))
+        assert read.fibers == ((2,), (1, 3), (4,))
+        fresh = FinMap(4, 3, (2, 1, 2, 3))
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert read.preimage(2) is read.fibers[1]
+
+
 class TestGrid:
     def test_corner(self):
         assert grid_rank((1, 1, 1), (2, 3, 4)) == 1
