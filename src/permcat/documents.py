@@ -66,6 +66,13 @@ def _put(table: dict, key, value, context: str, what: str) -> None:
     table[key] = value
 
 
+def _name(payload: Mapping, default: str, context: str) -> str:
+    name = payload.get("name", default)
+    if not isinstance(name, str):
+        raise DocumentError(f"{context}: name must be a string, not {name!r}")
+    return name
+
+
 # ---------------------------------------------------------------- multicat
 
 def multicat_to_doc(M: FinMulticat) -> dict:
@@ -133,7 +140,7 @@ def multicat_from_doc(payload: Mapping) -> FinMulticat:
         _put(gamma, (outer, inners), resolve(record["result"], "gamma row"),
              context, "gamma row")
 
-    M = FinMulticat(payload.get("name", "multicat"), objects, max_arity,
+    M = FinMulticat(_name(payload, "multicat", context), objects, max_arity,
                     operations, units, sigma, gamma)
     for op, (out, profile) in operations.items():
         for perm in all_perms(len(profile)):
@@ -207,7 +214,7 @@ def permcat_from_doc(payload: Mapping) -> FinPermCat:
             if obj not in objects:
                 raise DocumentError(f"{context}: morphism {record['id']!r} "
                                     f"references unknown object {obj!r}")
-        mor_src[record["id"]] = record["src"]
+        _put(mor_src, record["id"], record["src"], context, "morphism")
         mor_tgt[record["id"]] = record["tgt"]
 
     def resolve_mor(f, where):
@@ -233,7 +240,8 @@ def permcat_from_doc(payload: Mapping) -> FinPermCat:
     for record in _need(payload, "composition", context):
         g = resolve_mor(record["after"], "composition row")
         f = resolve_mor(record["before"], "composition row")
-        composition[g, f] = resolve_mor(record["result"], "composition row")
+        _put(composition, (g, f), resolve_mor(record["result"], "composition row"),
+             context, "composition row")
     for f in mor_src:
         for g in mor_src:
             if mor_tgt[f] == mor_src[g] and (g, f) not in composition:
@@ -243,19 +251,21 @@ def permcat_from_doc(payload: Mapping) -> FinPermCat:
     unit = resolve_obj(_need(payload, "unit", context), "unit")
     sums = {}
     for record in _need(payload, "sum_objects", context):
-        sums[resolve_obj(record["left"], "sum row"),
-             resolve_obj(record["right"], "sum row")] = resolve_obj(
-                 record["result"], "sum row")
+        _put(sums, (resolve_obj(record["left"], "sum row"),
+                    resolve_obj(record["right"], "sum row")),
+             resolve_obj(record["result"], "sum row"), context, "sum row")
     mor_sums = {}
     for record in _need(payload, "sum_morphisms", context):
-        mor_sums[resolve_mor(record["left"], "morphism sum row"),
-                 resolve_mor(record["right"], "morphism sum row")] = resolve_mor(
-                     record["result"], "morphism sum row")
+        _put(mor_sums, (resolve_mor(record["left"], "morphism sum row"),
+                        resolve_mor(record["right"], "morphism sum row")),
+             resolve_mor(record["result"], "morphism sum row"),
+             context, "morphism sum row")
     symmetries = {}
     for record in _need(payload, "symmetries", context):
-        symmetries[resolve_obj(record["left"], "symmetry row"),
-                   resolve_obj(record["right"], "symmetry row")] = resolve_mor(
-                       record["morphism"], "symmetry row")
+        _put(symmetries, (resolve_obj(record["left"], "symmetry row"),
+                          resolve_obj(record["right"], "symmetry row")),
+             resolve_mor(record["morphism"], "symmetry row"),
+             context, "symmetry row")
     for x in objects:
         for y in objects:
             if (x, y) not in sums:
@@ -269,7 +279,7 @@ def permcat_from_doc(payload: Mapping) -> FinPermCat:
             if (f, g) not in mor_sums:
                 raise DocumentError(f"{context}: morphism sum table not total: "
                                     f"missing ({f!r}, {g!r})")
-    return FinPermCat(payload.get("name", "permcat"), objects, mor_src, mor_tgt,
+    return FinPermCat(_name(payload, "permcat", context), objects, mor_src, mor_tgt,
                       identities, composition, unit, sums, mor_sums, symmetries)
 
 
@@ -292,10 +302,12 @@ def _product_to_doc(P: StrictProduct) -> dict:
 def _product_from_doc(payload: Mapping, C: FinPermCat, context: str) -> StrictProduct:
     obj_table = {}
     for record in _need(payload, "objects", context):
-        obj_table[record["left"], record["right"]] = record["result"]
+        _put(obj_table, (record["left"], record["right"]), record["result"],
+             context, "product object row")
     mor_table = {}
     for record in _need(payload, "morphisms", context):
-        mor_table[record["left"], record["right"]] = record["result"]
+        _put(mor_table, (record["left"], record["right"]), record["result"],
+             context, "product morphism row")
     for x in C.objects:
         for y in C.objects:
             if (x, y) not in obj_table:
@@ -320,7 +332,8 @@ def _components_from_doc(rows, names: tuple, context: str) -> dict:
     table = {}
     for record in rows:
         key = tuple(record[n] for n in names)
-        table[key if len(key) > 1 else key[0]] = record["morphism"]
+        _put(table, key if len(key) > 1 else key[0], record["morphism"],
+             context, "component row")
     return table
 
 
@@ -351,7 +364,7 @@ def ring_from_doc(payload: Mapping, kind: str = "ring") -> RingCatData:
             for c in additive.objects:
                 if (a, b, c) not in left or (a, b, c) not in right:
                     raise DocumentError(f"{context}: factorization tables not total")
-    return RingCatData(payload.get("name", kind), additive, product, left, right)
+    return RingCatData(_name(payload, kind, context), additive, product, left, right)
 
 
 def biperm_to_doc(B: BipermData) -> dict:
@@ -389,9 +402,12 @@ def _exchanges_to_doc(exchanges: Mapping) -> list:
     return sorted(out, key=lambda r: (r["i"], r["j"], r["a"], r["b"], r["c"], r["d"]))
 
 
-def _exchanges_from_doc(rows) -> dict:
-    return {(r["i"], r["j"], r["a"], r["b"], r["c"], r["d"]): r["morphism"]
-            for r in rows}
+def _exchanges_from_doc(rows, context: str) -> dict:
+    table = {}
+    for r in rows:
+        _put(table, (r["i"], r["j"], r["a"], r["b"], r["c"], r["d"]), r["morphism"],
+             context, "exchange row")
+    return table
 
 
 def nfold_to_doc(D: NFoldData) -> dict:
@@ -412,8 +428,8 @@ def nfold_from_doc(payload: Mapping) -> NFoldData:
     category = permcat_from_doc({**payload["category"], "kind": "permcat"})
     products = tuple(_product_from_doc(p, category, context)
                      for p in _need(payload, "products", context))
-    exchanges = _exchanges_from_doc(_need(payload, "exchanges", context))
-    return NFoldData(payload.get("name", "nfold"), category, products, exchanges)
+    exchanges = _exchanges_from_doc(_need(payload, "exchanges", context), context)
+    return NFoldData(_name(payload, "nfold", context), category, products, exchanges)
 
 
 def en_to_doc(E: EnData) -> dict:
@@ -442,8 +458,8 @@ def en_from_doc(payload: Mapping) -> EnData:
                   for rows in _need(payload, "left_factorizations", context))
     rights = tuple(_components_from_doc(rows, ("a", "b", "c"), context)
                    for rows in _need(payload, "right_factorizations", context))
-    exchanges = _exchanges_from_doc(_need(payload, "exchanges", context))
-    return EnData(payload.get("name", "en"), additive, products, lefts, rights,
+    exchanges = _exchanges_from_doc(_need(payload, "exchanges", context), context)
+    return EnData(_name(payload, "en", context), additive, products, lefts, rights,
                   exchanges)
 
 

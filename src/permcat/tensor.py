@@ -18,7 +18,8 @@ grid source.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import ComposabilityError, UnsupportedFragmentError
 from .free import FreeMorphism, FreePermCat, free_identity
@@ -46,7 +47,7 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompOp:
     """A decomposable operation ``(tensor of components) . twist``.
 
@@ -62,11 +63,31 @@ class DecompOp:
       factors except their outputs, and a second nullary anywhere (or a
       nullary elsewhere with the right output) mediates away even the
       first, so the key keeps only what survives.
+
+    The key is computed on first use (``==``, ``hash`` or ``repr``), so an
+    ill-typed factor table surfaces when the operation is compared.
     """
 
-    components: tuple = field(compare=False)
-    twist: Permutation = field(compare=False)
-    key: tuple = field(compare=True)
+    components: tuple
+    twist: Permutation
+    factors: tuple
+
+    @cached_property
+    def key(self) -> tuple:
+        """The canonical form: see :func:`canonical_key`."""
+        return canonical_key(self.factors, self.components, self.twist)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash((self.key,))
+
+    def __repr__(self):
+        return (f"DecompOp(components={self.components!r}, "
+                f"twist={self.twist!r}, key={self.key!r})")
 
 
 def grid_object(factor_profiles: tuple) -> Profile:
@@ -76,9 +97,37 @@ def grid_object(factor_profiles: tuple) -> Profile:
                  for js in grid_indices(sizes))
 
 
-def make_decomp(Ms: tuple, components: tuple, twist: Permutation) -> DecompOp:
-    """Construct a decomposable operation in canonical form."""
-    components = tuple(components)
+@lru_cache(maxsize=None)
+def _perms(n: int) -> tuple:
+    return tuple(all_perms(n))
+
+
+@lru_cache(maxsize=4096)
+def _inverse_grid_products(choices: tuple) -> tuple:
+    """``perm_grid_product(s).inverse().images`` for every tuple ``s`` of
+    ``itertools.product(*choices)``, in that order."""
+    return tuple(perm_grid_product(sigmas).inverse().images
+                 for sigmas in itertools.product(*choices))
+
+
+def canonical_key(Ms: tuple, components: tuple, twist: Permutation) -> tuple:
+    """The canonical key of ``(tensor of components) . twist``.
+
+    Over the gauge tuples ``s`` it is the lexicographic minimum of
+    ``(tuple(repr(c_i . s_i)), twist images after sliding s off)``, first
+    minimum in ``itertools.product`` order.  Each ``repr`` depends on its
+    own ``s_i`` only, so each factor is minimised alone and the twist only
+    over the product of the per-factor argmin sets.  Gauge-equivalent
+    normal forms share it (``q`` is ``p`` acted on by the transposition):
+
+        >>> from permcat.fixtures import swap_operad
+        >>> M = swap_operad()
+        >>> slid = make_decomp((M, M), ("q", "p"), identity_perm(4))
+        >>> slid == make_decomp((M, M), ("p", "p"), Permutation((2, 1, 4, 3)))
+        True
+        >>> slid == make_decomp((M, M), ("p", "p"), identity_perm(4))
+        False
+    """
     nullary = tuple(i for i, (M, c) in enumerate(zip(Ms, components))
                     if M.arity_of(c) == 0)
     if nullary:
@@ -87,20 +136,33 @@ def make_decomp(Ms: tuple, components: tuple, twist: Permutation) -> DecompOp:
                          if M.ops(out, ())]
         if len(nullary) == 1 and with_mediator == list(nullary):
             i0 = nullary[0]
-            key = ("nullary", i0, components[i0], outputs)
-        else:
-            key = ("nullary-class", outputs)
-        return DecompOp(components, twist, key)
+            return ("nullary", i0, components[i0], outputs)
+        return ("nullary-class", outputs)
+    choices, acted = [], []
+    for M, c in zip(Ms, components):
+        least = None
+        for s in _perms(M.arity_of(c)):
+            d = M.act(c, s)
+            r = repr(d)
+            if least is None or r < least:
+                least, sigmas, images = r, [s], [d]
+            elif r == least:
+                sigmas.append(s)
+                images.append(d)
+        choices.append(tuple(sigmas))
+        acted.append(images)
     best = None
-    for sigmas in itertools.product(*(tuple(all_perms(M.arity_of(c)))
-                                      for M, c in zip(Ms, components))):
-        comps = tuple(M.act(c, s) for M, c, s in zip(Ms, components, sigmas))
-        tw = perm_compose(perm_grid_product(sigmas).inverse(), twist)
-        candidate = (tuple(repr(c) for c in comps), tw.images, comps)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-    key = (best[2], best[1])
-    return DecompOp(components, twist, key)
+    for comps, inverse in zip(itertools.product(*acted),
+                              _inverse_grid_products(tuple(choices))):
+        tw = tuple(inverse[t - 1] for t in twist.images)
+        if best is None or tw < best[1]:
+            best = (comps, tw)
+    return best
+
+
+def make_decomp(Ms: tuple, components: tuple, twist: Permutation) -> DecompOp:
+    """Construct a decomposable operation; its canonical key is lazy."""
+    return DecompOp(tuple(components), twist, tuple(Ms))
 
 
 def tensor_op(Ms: tuple, ops: tuple) -> DecompOp:
@@ -143,6 +205,12 @@ class TensorGridView(Multicat):
 
     def output_of(self, op: DecompOp) -> tuple:
         return tuple(M.output_of(c) for M, c in zip(self.factors, op.components))
+
+    def arity_of(self, op: DecompOp) -> int:
+        arity = 1
+        for M, c in zip(self.factors, op.components):
+            arity *= M.arity_of(c)
+        return arity
 
     def profile_of(self, op: DecompOp) -> Profile:
         flat = grid_object(tuple(M.profile_of(c)

@@ -113,6 +113,16 @@ class TestExitCodes:
         assert code == 2
         assert "unsupported version 99" in err
 
+    def test_duplicate_composition_row(self, capsys, tmp_path):
+        payload = json.loads((DOCS / "sign.json").read_text(encoding="utf-8"))
+        payload["composition"].append(
+            {"after": "0:+", "before": "0:+", "result": "0:-"})
+        path = tmp_path / "sign-duplicate.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert "duplicate composition row ('0:+', '0:+')" in err
+
     def test_kind_mismatch(self, capsys):
         code, out, err = run(capsys, ["check-ring", "--level", "ring",
                                       doc("sign.json")])

@@ -2,6 +2,8 @@
 import json
 import pathlib
 import re
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -82,6 +84,45 @@ class TestErrors:
         payload = json.loads((DOCS / "swap-operad.json").read_text())
         payload[table].insert(1, dict(payload[table][0]))
         with pytest.raises(DocumentError, match=re.escape(f"duplicate {duplicate}")):
+            parse_document(dumps(payload))
+
+    @pytest.mark.parametrize("name, path, duplicate", [
+        ("sign.json", ("morphisms",), "morphism"),
+        ("sign.json", ("composition",), "composition row"),
+        ("sign.json", ("sum_objects",), "sum row"),
+        ("sign.json", ("sum_morphisms",), "morphism sum row"),
+        ("sign.json", ("symmetries",), "symmetry row"),
+        ("sign-ring.json", ("product", "objects"), "product object row"),
+        ("sign-ring.json", ("product", "morphisms"), "product morphism row"),
+        ("sign-ring.json", ("left_factorization",), "component row"),
+        ("sign-ring.json", ("right_factorization",), "component row"),
+        ("sign-biperm.json", ("multiplicative_symmetry",), "component row"),
+        ("sign-braided.json", ("braiding",), "component row"),
+        ("sign-3fold.json", ("exchanges",), "exchange row"),
+        ("sign-e2.json", ("left_factorizations", 0), "component row"),
+        ("identity-functor.json", ("monoidal_constraint",), "component row"),
+        ("identity-multinat.json", ("source", "monoidal_constraint"),
+         "component row"),
+    ])
+    def test_duplicate_row_rejected_in_every_table(self, name, path, duplicate):
+        payload = json.loads((DOCS / name).read_text())
+        rows = reduce(getitem, path, payload)
+        rows.insert(1, dict(rows[0]))
+        with pytest.raises(DocumentError, match=f"duplicate {duplicate} [(']"):
+            parse_document(dumps(payload))
+
+    @pytest.mark.parametrize("name, path", [
+        ("mterm3.json", ()),
+        ("sign.json", ()),
+        ("sign-ring.json", ()),
+        ("sign-ring.json", ("additive",)),
+        ("sign-3fold.json", ()),
+        ("sign-e2.json", ()),
+    ])
+    def test_non_string_name_rejected(self, name, path):
+        payload = json.loads((DOCS / name).read_text())
+        reduce(getitem, path, payload)["name"] = 5
+        with pytest.raises(DocumentError, match="name must be a string"):
             parse_document(dumps(payload))
 
     def test_unresolved_reference(self):

@@ -1,10 +1,14 @@
 """Combinatorial core: permutations, finite maps, grid ranking."""
+import doctest
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import permcat
 from permcat.errors import ComposabilityError, DegreeMismatchError
 from permcat.perms import (
     FinMap,
@@ -340,8 +344,11 @@ def test_profiles_enumeration():
 
 
 def test_doctests():
-    import doctest
-
-    import permcat.perms
-    failures, _ = doctest.testmod(permcat.perms)
-    assert failures == 0
+    """Every doctest in every ``permcat`` module."""
+    attempted = 0
+    for info in pkgutil.iter_modules(permcat.__path__):
+        module = importlib.import_module(f"permcat.{info.name}")
+        failures, tried = doctest.testmod(module)
+        assert failures == 0, info.name
+        attempted += tried
+    assert attempted >= 15  # perms 10 examples, tensor 5

@@ -12,10 +12,11 @@ from permcat.errors import (
     MalformedStructureError,
     UnsupportedFragmentError,
 )
-from permcat.fixtures import sign_permcat
+from permcat.fixtures import sign_permcat, swap_operad, two_object_multicat
 from permcat.multicat import terminal_multicat, validate_multicat
 from permcat.permcats import validate_permcat
 from permcat.reports import CheckReport, once
+from permcat.tensor import tensor_op
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "permcat"
 
@@ -63,6 +64,17 @@ class TestEvaluate:
     def test_other_errors_propagate(self):
         with pytest.raises(KeyError):
             CheckReport("r").evaluate("ax", raises(KeyError), lambda: 1, ("w",))
+
+    def test_leg_that_fails_when_compared_is_a_counted_violation(self):
+        swap = swap_operad()
+        sigma = dict(swap.sigma)
+        del sigma["p", (2, 1)]
+        broken = replace(swap, sigma=sigma)
+        T = two_object_multicat()
+        report = CheckReport("r")
+        report.evaluate("eq", lambda: tensor_op((broken, T), ("p", "ua")),
+                        lambda: tensor_op((swap, T), ("p", "ua")), ("w",))
+        assert summary_of(report) == [("eq", 1, ["(ill-typed, w)"])]
 
     def test_once_shares_value_and_exception(self):
         calls = []

@@ -3,10 +3,11 @@ import itertools
 
 import pytest
 
-from permcat.errors import UnsupportedFragmentError
+from permcat.errors import MalformedStructureError, UnsupportedFragmentError
 from permcat.fixtures import sign_operad, swap_operad, two_object_multicat
 from permcat.free import FreeMorphism, FreePermCat, free_identity, free_on_multifunctor
 from permcat.multicat import (
+    FinMulticat,
     MultiNat,
     Multifunctor,
     identity_multifunctor,
@@ -18,17 +19,22 @@ from permcat.permcats import validate_nlinear, validate_nlinear_nat
 from permcat.perms import (
     FinMap,
     Permutation,
+    all_perms,
     grid_transpose,
     identity_perm,
     perm_act,
+    perm_compose,
+    perm_grid_product,
     profiles,
     terminal_map,
 )
+from permcat.shipped import SHIPPED
 from permcat.tensor import (
     braid_multifunctor,
     f_multi,
     f_multi_nat,
     grid_object,
+    make_decomp,
     s_constraint,
     s_constraint_map,
     s_functor,
@@ -387,3 +393,59 @@ class TestSigmaSquare:
             cell_src = self.transpose_cell(m1.source, m2.source)
             cell_tgt = self.transpose_cell(m1.target, m2.target)
             assert F12.compose(path1, cell_src) == F12.compose(cell_tgt, path2)
+
+
+def brute_force_key(Ms, components, twist):
+    """The canonical key by searching every gauge tuple in Π nᵢ!: the
+    reference the factor-by-factor search in ``canonical_key`` must equal
+    (non-nullary components only)."""
+    best = None
+    for sigmas in itertools.product(*(tuple(all_perms(M.arity_of(c)))
+                                      for M, c in zip(Ms, components))):
+        comps = tuple(M.act(c, s) for M, c, s in zip(Ms, components, sigmas))
+        tw = perm_compose(perm_grid_product(sigmas).inverse(), twist)
+        candidate = (tuple(repr(c) for c in comps), tw.images, comps)
+        if best is None or candidate[:2] < best[:2]:
+            best = candidate
+    return (best[2], best[1])
+
+
+ORACLE_FACTORS = ("two-object.json", "mterm3.json", "swap-operad.json",
+                  "sign-operad2.json")
+
+
+def oracle_twists(arity):
+    """Every twist up to arity 6; at arity 9 the first 200 in
+    ``all_perms`` order and their inverses."""
+    if arity <= 6:
+        return tuple(all_perms(arity))
+    first = tuple(itertools.islice(all_perms(arity), 200))
+    return first + tuple(p.inverse() for p in first)
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("first", ORACLE_FACTORS)
+    @pytest.mark.parametrize("second", ORACLE_FACTORS)
+    def test_equals_brute_force_search(self, first, second):
+        Ms = (SHIPPED[first][1](), SHIPPED[second][1]())
+        checked = 0
+        for components in itertools.product(*(M.operations for M in Ms)):
+            arity = Ms[0].arity_of(components[0]) * Ms[1].arity_of(components[1])
+            if arity == 0:
+                continue
+            for twist in oracle_twists(arity):
+                op = make_decomp(Ms, components, twist)
+                assert op.key == brute_force_key(Ms, components, twist), (
+                    components, twist)
+                checked += 1
+        assert checked > 0
+
+    def test_key_is_computed_on_first_comparison(self, monkeypatch):
+        def refuse(self, op, sigma):
+            raise MalformedStructureError("act called")
+
+        monkeypatch.setattr(FinMulticat, "act", refuse)
+        op = tensor_op((SWAP, TWO), ("p", "m"))
+        assert op.components == ("p", "m")
+        with pytest.raises(MalformedStructureError):
+            op == tensor_op((SWAP, TWO), ("q", "m"))
