@@ -2,13 +2,15 @@
 
 Subcommands: validate, free, endo, tensor-s, check-s, check-adjunction,
 check-ring.  Exit codes: 0 all checks pass, 1 axiom violations, 2 input
-error.  ``--report`` writes the structured report as canonical JSON; the
-summary on stdout is deterministic.
+error, 3 internal error (an unexpected exception: a defect of permcat, not
+of the input).  ``--report`` writes the structured report as canonical
+JSON; the summary on stdout is deterministic.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from .documents import DocumentError, dumps, parse_document
@@ -54,12 +56,18 @@ RING_VALIDATORS = {
 }
 
 
+# what a parser raises on a field of the wrong type or shape
+MALFORMED = (TypeError, ValueError, KeyError, AttributeError, IndexError)
+
+
 def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_document(handle.read())
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}")
+    except MALFORMED as exc:
+        raise DocumentError(f"{path}: malformed document: {type(exc).__name__}: {exc}")
 
 
 def _profile(text: str) -> Profile:
@@ -327,6 +335,14 @@ def run_command(argv) -> int:
     except (MalformedStructureError, BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # here, not at the top: it adds to every command's start-up
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"error: internal: {type(exc).__name__}: {exc} "
+              f"(in {where.name}, {os.path.basename(where.filename)}:{where.lineno})",
+              file=sys.stderr)
+        return 3
 
 
 def main() -> None:

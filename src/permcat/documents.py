@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .multicat import FinMulticat
+from .multicat import FinMulticat, _by_output, _inner_tuples
 from .permcats import FinPermCat, SymMonFunctor, MonoidalNat
 from .perms import all_perms
 from .rings import (
@@ -38,9 +38,19 @@ def dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members, refusing a key that appears twice."""
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        seen = {}
+        for key, value in pairs:
+            _put(seen, key, value, "JSON object", "key")
+    return table
+
+
 def loads(text: str) -> dict:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"syntax error at line {exc.lineno}, column {exc.colno}: "
                             f"{exc.msg}")
@@ -147,25 +157,11 @@ def multicat_from_doc(payload: Mapping) -> FinMulticat:
             if (op, perm.images) not in sigma:
                 raise DocumentError(f"{context}: sigma table not total: "
                                     f"missing ({op!r}, {perm.images})")
-    by_output = {}
-    for op, (out, profile) in operations.items():
-        by_output.setdefault(out, []).append((profile, op))
-
-    def tuples(profile, budget):
-        if not profile:
-            yield ()
-            return
-        for inner_profile, op in by_output.get(profile[0], []):
-            rest = budget - len(inner_profile)
-            if rest < 0:
-                continue
-            for tail in tuples(profile[1:], rest):
-                yield (op,) + tail
-
+    by_output = _by_output((out, profile, op) for op, (out, profile) in operations.items())
     for op, (out, profile) in operations.items():
         if not profile:
             continue
-        for inners in tuples(profile, max_arity):
+        for inners in _inner_tuples(by_output, profile, max_arity):
             if (op, inners) not in gamma:
                 raise DocumentError(f"{context}: gamma table not total: "
                                     f"missing ({op!r}, {inners!r})")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BoundExceededError,
@@ -195,23 +195,17 @@ class MulticatView(Multicat):
 
 def materialize(M: Multicat, name: str, objects: Sequence, max_arity: int) -> FinMulticat:
     """Table-backed snapshot of a view over a finite window."""
-    operations = {}
-    units = {}
+    entries = _op_entries(M, objects, max_arity)
+    operations = {op: (target, profile) for target, profile, op in entries}
+    by_output = _by_output(entries)
+    units = {obj: M.unit(obj) for obj in objects}
     sigma = {}
     gamma = {}
-    index = {}
-    for target in objects:
-        for profile in profiles(objects, max_arity):
-            for op in M.ops(target, profile):
-                operations[op] = (target, profile)
-                index.setdefault((target, profile), []).append(op)
-    for obj in objects:
-        units[obj] = M.unit(obj)
     for op, (target, profile) in operations.items():
         for perm in all_perms(len(profile)):
             sigma[op, perm.images] = M.act(op, perm)
     for op, (target, profile) in operations.items():
-        for inners in _inner_tuples(index, objects, profile, max_arity):
+        for inners in _inner_tuples(by_output, profile, max_arity):
             try:
                 gamma[op, inners] = M.compose(op, inners)
             except BoundExceededError:
@@ -410,35 +404,36 @@ def multinat_hcomp(theta2: MultiNat, theta: MultiNat) -> MultiNat:
                     component)
 
 
-def _op_index(M: Multicat, objects: Sequence, max_arity: int) -> dict:
-    index = {}
-    for target in objects:
-        for profile in profiles(objects, max_arity):
-            found = M.ops(target, profile)
-            if found:
-                index[target, profile] = tuple(found)
-    return index
+def _op_entries(M: Multicat, objects: Sequence, max_arity: int) -> list[tuple]:
+    """``(output, profile, op)`` for every operation within the window,
+    grouped by boundary in object-then-profile order."""
+    return [(target, profile, op)
+            for target in objects
+            for profile in profiles(objects, max_arity)
+            for op in M.ops(target, profile)]
 
 
-def _ops_with_output(index: dict, target) -> Iterator[tuple[Profile, object]]:
-    for (tgt, profile), ops in index.items():
-        if tgt == target:
-            for op in ops:
-                yield profile, op
+def _by_output(entries: Iterable[tuple]) -> dict:
+    """``output -> [(profile, op), ...]`` over ``(output, profile, op)``
+    entries, each list in entry order: the slot index of :func:`_inner_tuples`."""
+    by_output = {}
+    for target, profile, op in entries:
+        by_output.setdefault(target, []).append((profile, op))
+    return by_output
 
 
-def _inner_tuples(index: dict, objects, input_profile: Profile, budget: int) -> Iterator[tuple]:
+def _inner_tuples(by_output: dict, input_profile: Profile, budget: int) -> Iterator[tuple]:
     """All tuples of operations matching the input profile slotwise, with
     total arity at most ``budget``."""
     if not input_profile:
         yield ()
         return
     head, rest = input_profile[0], input_profile[1:]
-    for profile, op in _ops_with_output(index, head):
+    for profile, op in by_output.get(head, ()):
         remaining = budget - len(profile)
         if remaining < 0:
             continue
-        for tail in _inner_tuples(index, objects, rest, remaining):
+        for tail in _inner_tuples(by_output, rest, remaining):
             yield (op,) + tail
 
 
@@ -451,19 +446,35 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     are unknown and not counted.  An instance with an ill-typed leg (a
     missing table entry or a boundary mismatch) is a counted violation
     witnessed ``ill-typed``.
+
+    Each distinct ``(outer, inners)`` composite is evaluated once per call
+    and shared by every instance that needs it.  Only values are kept: a
+    composite that raises is evaluated, and raises, again for each
+    instance, so every such instance is unknown or ill-typed on its own.
     """
     A = max_arity if max_arity is not None else M.max_arity
     if A is None:
         raise ValueError("an arity bound is required")
     objs = tuple(objects) if objects is not None else M.object_list()
     report = CheckReport(getattr(M, "name", "multicat"))
-    index = _op_index(M, objs, A)
+    entries = _op_entries(M, objs, A)
+    by_output = _by_output(entries)
+    arity = {op: len(profile) for _, profile, op in entries}
+    composites = {}
+    missing = object()
+
+    def compose(outer, inners):
+        key = (outer, inners)
+        result = composites.get(key, missing)
+        if result is missing:
+            result = composites[key] = M.compose(outer, inners)
+        return result
 
     for c in objs:
         u = M.unit(c)
         report.expect("unit-typing", (M.output_of(u), M.profile_of(u)), (c, (c,)), ("unit", c))
 
-    all_ops = [(profile, op) for (target, profile), ops in index.items() for op in ops]
+    all_ops = [(profile, op) for _, profile, op in entries]
 
     for profile, op in all_ops:
         n = len(profile)
@@ -481,20 +492,20 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
 
     for profile, op in all_ops:
         target = M.output_of(op)
-        report.expect("left-unity", M.compose(M.unit(target), (op,)), op, ("left", op))
+        report.expect("left-unity", compose(M.unit(target), (op,)), op, ("left", op))
         if profile:
             units = tuple(M.unit(x) for x in profile)
-            report.expect("right-unity", M.compose(op, units), op, ("right", op))
+            report.expect("right-unity", compose(op, units), op, ("right", op))
 
     composables = []
     for profile, outer in all_ops:
         if not profile:
             continue
-        for inners in _inner_tuples(index, objs, profile, A):
+        for inners in _inner_tuples(by_output, profile, A):
             # only composites that could be typed enter the index that the
             # equivariance and associativity checks run over
             def typed_composite():
-                result = M.compose(outer, inners)
+                result = compose(outer, inners)
                 boundary = (M.output_of(result), M.profile_of(result))
                 composables.append((outer, inners, result))
                 return boundary
@@ -509,29 +520,25 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
         arities = tuple(M.arity_of(i) for i in inners)
         for s in all_perms(n):
             report.evaluate("top-equivariance",
-                            lambda: M.compose(M.act(outer, s), perm_act(s, inners)),
+                            lambda: compose(M.act(outer, s), perm_act(s, inners)),
                             lambda: M.act(result, block_perm(s, arities)),
                             (outer, inners, s.images))
         for taus in itertools.product(*(list(all_perms(k)) for k in arities)):
             report.evaluate("bottom-equivariance",
-                            lambda: M.compose(outer, tuple(
+                            lambda: compose(outer, tuple(
                                 M.act(i, t) for i, t in zip(inners, taus))),
                             lambda: M.act(result, block_sum(taus)),
                             (outer, inners, tuple(t.images for t in taus)))
 
     for outer, middles, mid_comp in composables:
         flat = tuple(x for m in middles for x in M.profile_of(m))
-        for inners in _inner_tuples(index, objs, flat, A):
-            chunks = []
-            pos = 0
-            for m in middles:
-                k = M.arity_of(m)
-                chunks.append(inners[pos:pos + k])
-                pos += k
+        ends = tuple(itertools.accumulate(arity[m] for m in middles))
+        for inners in _inner_tuples(by_output, flat, A):
+            chunks = tuple(inners[start:end] for start, end in zip((0,) + ends, ends))
             report.evaluate("associativity",
-                            lambda: M.compose(mid_comp, inners),
-                            lambda: M.compose(outer, tuple(
-                                M.compose(m, chunk) for m, chunk in zip(middles, chunks))),
+                            lambda: compose(mid_comp, inners),
+                            lambda: compose(outer, tuple(
+                                compose(m, chunk) for m, chunk in zip(middles, chunks))),
                             (outer, middles, inners))
 
     return report
@@ -546,12 +553,13 @@ def validate_multifunctor(H: Multifunctor, max_arity: int | None = None,
         raise ValueError("an arity bound is required")
     objs = tuple(objects) if objects is not None else M.object_list()
     report = CheckReport("multifunctor")
-    index = _op_index(M, objs, A)
+    entries = _op_entries(M, objs, A)
+    by_output = _by_output(entries)
 
     for c in objs:
         report.expect("unit-preservation", H.on_op(M.unit(c)), N.unit(H.on_obj(c)), ("unit", c))
 
-    all_ops = [(profile, op) for (target, profile), ops in index.items() for op in ops]
+    all_ops = [(profile, op) for _, profile, op in entries]
     for profile, op in all_ops:
         image = H.on_op(op)
         report.expect("boundary-preservation",
@@ -565,7 +573,7 @@ def validate_multifunctor(H: Multifunctor, max_arity: int | None = None,
     for profile, outer in all_ops:
         if not profile:
             continue
-        for inners in _inner_tuples(index, objs, profile, A):
+        for inners in _inner_tuples(by_output, profile, A):
             report.evaluate("composition-preservation",
                             lambda: H.on_op(M.compose(outer, inners)),
                             lambda: N.compose(H.on_op(outer),
@@ -592,11 +600,9 @@ def validate_multinat(theta: MultiNat, max_arity: int | None = None,
                       (N.output_of(comp), N.profile_of(comp)),
                       (Q.on_obj(c), (P.on_obj(c),)), ("component", c))
 
-    index = _op_index(M, objs, A)
-    for (target, profile), ops in index.items():
-        for op in ops:
-            report.evaluate("naturality",
-                            lambda: N.compose(theta.at(target), (P.on_op(op),)),
-                            lambda: N.compose(Q.on_op(op), tuple(theta.at(x) for x in profile)),
-                            ("square", op))
+    for target, profile, op in _op_entries(M, objs, A):
+        report.evaluate("naturality",
+                        lambda: N.compose(theta.at(target), (P.on_op(op),)),
+                        lambda: N.compose(Q.on_op(op), tuple(theta.at(x) for x in profile)),
+                        ("square", op))
     return report

@@ -123,6 +123,39 @@ class TestExitCodes:
         assert code == 2
         assert "duplicate composition row ('0:+', '0:+')" in err
 
+    def test_repeated_object_key(self, capsys, tmp_path):
+        text = (DOCS / "sign.json").read_text(encoding="utf-8")
+        path = tmp_path / "sign-repeated-identity.json"
+        path.write_text(text.replace('"identities": {\n', '"identities": {\n    "0": "0:-",\n', 1),
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert "duplicate key '0'" in err
+
+    @pytest.mark.parametrize("field, value, exception", [
+        ("max_arity", "three", "ValueError"),
+        ("inputs", 7, "TypeError"),
+    ])
+    def test_field_of_wrong_type(self, capsys, tmp_path, field, value, exception):
+        payload = json.loads((DOCS / "mterm3.json").read_text(encoding="utf-8"))
+        (payload["operations"][0] if field == "inputs" else payload)[field] = value
+        path = tmp_path / "mterm3-malformed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert f"malformed document: {exception}" in err
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("permcat.cli.cmd_validate", broken)
+        code, out, err = run(capsys, ["validate", doc("sign.json")])
+        assert code == 3
+        assert err.startswith("error: internal: ZeroDivisionError: division by zero "
+                              "(in broken, test_cli.py:")
+        assert err.count("\n") == 1
+
     def test_kind_mismatch(self, capsys):
         code, out, err = run(capsys, ["check-ring", "--level", "ring",
                                       doc("sign.json")])

@@ -125,6 +125,14 @@ class TestErrors:
         with pytest.raises(DocumentError, match="name must be a string"):
             parse_document(dumps(payload))
 
+    def test_repeated_object_key_rejected(self):
+        # a wrong identity written ahead of the real one must not be dropped
+        text = (DOCS / "sign.json").read_text()
+        text = text.replace('"identities": {\n', '"identities": {\n    "0": "0:-",\n', 1)
+        assert '"0": "0:-",\n    "0": "0:+"' in text
+        with pytest.raises(DocumentError, match=re.escape("duplicate key '0'")):
+            parse_document(text)
+
     def test_unresolved_reference(self):
         text = (DOCS / "mutant-unresolved.json").read_text()
         with pytest.raises(DocumentError, match="unknown operation 'ghost'"):

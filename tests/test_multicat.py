@@ -1,9 +1,14 @@
 """Multicategory tables, views, functors, and their validators."""
+import itertools
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from mutation import gamma_mutant, sigma_mutant, unit_mutant
+from permcat.endo import EndoOp, endo_multicat
 from permcat.errors import BoundExceededError, ComposabilityError, MalformedStructureError
-from permcat.fixtures import sign_operad, swap_operad, two_object_multicat
+from permcat.fixtures import sign_operad, sign_permcat, swap_operad, two_object_multicat
 from permcat.multicat import (
     MultiNat,
     Multifunctor,
@@ -22,6 +27,8 @@ from permcat.multicat import (
     validate_multifunctor,
     validate_multinat,
 )
+from permcat.perms import all_perms, perm_act, profiles
+
 MTERM = terminal_multicat(4)
 INITIAL = initial_operad()
 SIGNS = sign_operad(3)
@@ -121,6 +128,103 @@ class TestValidateMulticat:
         mutant = gamma_mutant(MTERM, "i1", ("i2",), "i3")
         report = validate_multicat(mutant)
         assert "left-unity" in report.violated_axioms()
+
+
+def counting_view(M, fails=None):
+    """``M`` with a ``compose_fn`` that counts its calls per ``(outer,
+    inners)`` and raises ``MalformedStructureError`` on the pair ``fails``."""
+    calls = Counter()
+
+    def compose_fn(outer, inners):
+        calls[outer, inners] += 1
+        if (outer, inners) == fails:
+            raise MalformedStructureError("composite withheld")
+        return M.compose_fn(outer, inners)
+
+    return replace(M, compose_fn=compose_fn), calls
+
+
+def touching_instances(M, A, pair) -> Counter:
+    """Per axiom, how many composition-typing, equivariance and
+    associativity instances of ``validate_multicat(M, A)`` have a leg that
+    composes ``pair``, found by brute force over every tuple of operations
+    and a composite that records what it is asked for."""
+    objs = M.object_list()
+    ops = [(op, profile) for target in objs for profile in profiles(objs, A)
+           for op in M.ops(target, profile)]
+
+    def inner_tuples(slots, budget):
+        candidates = [[(op, p) for op, p in ops if M.output_of(op) == slot] for slot in slots]
+        for choice in itertools.product(*candidates):
+            if sum(len(p) for _, p in choice) <= budget:
+                yield tuple(op for op, _ in choice)
+
+    asked = []
+
+    def compose(outer, inners):
+        asked.append((outer, inners))
+        return M.compose(outer, inners)
+
+    def touches(*legs):
+        asked.clear()
+        for leg in legs:
+            leg()
+        return pair in asked
+
+    found = Counter()
+    composables = []
+    for outer, profile in ops:
+        for inners in inner_tuples(profile, A) if profile else ():
+            found["composition-typing"] += touches(lambda: compose(outer, inners))
+            if (outer, inners) != pair:
+                composables.append((outer, inners, M.compose(outer, inners)))
+    for outer, inners, result in composables:
+        for s in all_perms(len(inners)):
+            found["top-equivariance"] += touches(
+                lambda: compose(M.act(outer, s), perm_act(s, inners)))
+        for taus in itertools.product(*(all_perms(M.arity_of(i)) for i in inners)):
+            found["bottom-equivariance"] += touches(
+                lambda: compose(outer, tuple(M.act(i, t) for i, t in zip(inners, taus))))
+        flat = tuple(x for m in inners for x in M.profile_of(m))
+        for leaves in inner_tuples(flat, A):
+            rest = iter(leaves)
+            chunks = [tuple(itertools.islice(rest, M.arity_of(m))) for m in inners]
+            found["associativity"] += touches(
+                lambda: compose(result, leaves),
+                lambda: compose(outer, tuple(compose(m, c) for m, c in zip(inners, chunks))))
+    return found
+
+
+class TestCompositeMemo:
+    SIGN_ENDO = endo_multicat(sign_permcat())
+
+    def test_each_composite_evaluated_once(self):
+        view, calls = counting_view(self.SIGN_ENDO)
+        report = validate_multicat(view, max_arity=2)
+        assert report.passed, report.summary()
+        assert calls and set(calls.values()) == {1}
+        assert {c.axiom: c.instances for c in report.checks} == {
+            "unit-typing": 2, "symmetry-identity": 14, "symmetry-typing": 22,
+            "symmetry-action": 38, "left-unity": 14, "right-unity": 12,
+            "composition-typing": 164, "top-equivariance": 300,
+            "bottom-equivariance": 244, "associativity": 2196}
+
+    def test_failing_composite_is_raised_for_every_instance(self):
+        # a pair that instances of all four evaluated axioms compose
+        E = self.SIGN_ENDO
+        outer = EndoOp("1", ("0", "1"), "1:-")
+        pair = (outer, (EndoOp("0", (), "0:+"), outer))
+        assert outer in E.ops("1", ("0", "1")) and pair[1][0] in E.ops("0", ())
+        view, calls = counting_view(E, fails=pair)
+        report = validate_multicat(view, max_arity=2)
+        ill_typed = Counter(v.axiom for v in report.violations()
+                            if v.witness.startswith("(ill-typed, "))
+        expected = touching_instances(E, 2, pair)
+        assert ill_typed == +expected
+        assert set(ill_typed) == {"composition-typing", "top-equivariance",
+                                  "bottom-equivariance", "associativity"}
+        assert calls[pair] == sum(ill_typed.values())
+        assert len(report.violations()) == sum(ill_typed.values())
 
 
 class TestTerminalAndInitial:
