@@ -1,16 +1,29 @@
 """JSON document formats for every finite structure, with canonical
 serialization.
 
+Every table of every kind is declared once, as a :class:`Table`: its JSON
+field, its key and value columns, the namespace each column resolves in,
+the noun naming its rows in messages, and whether it must be total.  One
+reader (:func:`_read_table`) turns rows into a dict and one writer
+(:func:`_write_table`) turns the dict back into rows; :data:`KINDS` pairs
+each kind's reader and writer, which add only the checks that need the
+structure itself (composable pairs, sigma, gamma).
+
 Parsing is total-or-error: a document yields a fully resolved structure
 with total tables for its declared bounds, or a :class:`DocumentError`
-naming the problem (syntax with position, unresolved reference, or a
-missing table entry).  Serialization sorts keys and canonically orders
-every list so identical structures produce byte-identical documents.
+naming the problem (syntax with position, an undeclared or missing field,
+a repeated id, key or row, an unresolved reference, or a missing table
+entry).  Serialization sorts keys and canonically orders every list so
+identical structures produce byte-identical documents.
 """
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Mapping
+from dataclasses import dataclass, replace
+from functools import cached_property
+from math import factorial
+from operator import itemgetter
 
 from .multicat import FinMulticat, _by_output, _inner_tuples
 from .permcats import FinPermCat, SymMonFunctor, MonoidalNat
@@ -25,9 +38,6 @@ from .rings import (
 )
 
 VERSION = 1
-
-KINDS = ("multicat", "permcat", "ring", "biperm", "braided", "nfold", "en",
-         "functor", "multinat")
 
 
 class DocumentError(Exception):
@@ -56,18 +66,13 @@ def loads(text: str) -> dict:
                             f"{exc.msg}")
     if not isinstance(payload, dict) or "kind" not in payload:
         raise DocumentError("document must be an object with a 'kind' tag")
-    if payload["kind"] not in KINDS:
-        raise DocumentError(f"unknown kind {payload['kind']!r}; expected one of {KINDS}")
+    if type(payload["kind"]) is not str or payload["kind"] not in KINDS:
+        raise DocumentError(f"unknown kind {payload['kind']!r}; "
+                            f"expected one of {tuple(KINDS)}")
     version = payload.get("version")
     if type(version) is not int or version != VERSION:
         raise DocumentError(f"unsupported version {version!r}; expected {VERSION}")
     return payload
-
-
-def _need(payload: Mapping, key: str, context: str):
-    if key not in payload:
-        raise DocumentError(f"{context}: missing field {key!r}")
-    return payload[key]
 
 
 def _put(table: dict, key, value, context: str, what: str) -> None:
@@ -76,464 +81,467 @@ def _put(table: dict, key, value, context: str, what: str) -> None:
     table[key] = value
 
 
-def _name(payload: Mapping, default: str, context: str) -> str:
+def _name(payload: dict, default: str, context: str) -> str:
     name = payload.get("name", default)
     if not isinstance(name, str):
         raise DocumentError(f"{context}: name must be a string, not {name!r}")
     return name
 
 
-# ---------------------------------------------------------------- multicat
+# ------------------------------------------------------------------ tables
 
-def multicat_to_doc(M: FinMulticat) -> dict:
-    return {
-        "kind": "multicat",
-        "version": VERSION,
-        "name": M.name,
-        "max_arity": M.max_arity,
-        "objects": sorted(M.objects),
-        "operations": sorted(
-            ({"id": op, "output": out, "inputs": list(profile)}
-             for op, (out, profile) in M.operations.items()),
-            key=lambda r: r["id"]),
-        "units": {obj: M.units[obj] for obj in sorted(M.units)},
-        "sigma": sorted(
-            ({"op": op, "perm": list(images), "result": result}
-             for (op, images), result in M.sigma.items()),
-            key=lambda r: (r["op"], r["perm"])),
-        "gamma": sorted(
-            ({"outer": outer, "inners": list(inners), "result": result}
-             for (outer, inners), result in M.gamma.items()),
-            key=lambda r: (r["outer"], r["inners"])),
-    }
+# The namespaces a column resolves in: the ids a document declares, those of
+# a functor's target category, and the product indices 1..n.  NEW marks a
+# column of fresh ids, PERM a permutation of the arity of the row's
+# operation, and ``(space,)`` a list of ids of ``space``.
+OBJ, MOR, OP = "object", "morphism", "operation"
+TGT_OBJ, TGT_MOR = "target object", "target morphism"
+PRODUCT, PERM, NEW = "product", "permutation", "id"
+PLAIN = {OBJ, MOR, OP, TGT_OBJ, TGT_MOR}
 
 
-def multicat_from_doc(payload: Mapping) -> FinMulticat:
-    context = "multicat document"
-    objects = tuple(_need(payload, "objects", context))
-    max_arity = int(_need(payload, "max_arity", context))
-    operations = {}
-    for record in _need(payload, "operations", context):
-        out = record["output"]
-        inputs = tuple(record["inputs"])
-        for obj in (out,) + inputs:
-            if obj not in objects:
-                raise DocumentError(f"{context}: operation {record['id']!r} "
-                                    f"references unknown object {obj!r}")
-        if len(inputs) > max_arity:
-            raise DocumentError(f"{context}: operation {record['id']!r} exceeds "
-                                f"the arity bound {max_arity}")
-        _put(operations, record["id"], (out, inputs), context, "operation")
+@dataclass(frozen=True)
+class Table:
+    """One table of a document kind.
 
-    def resolve(op, where):
-        if op not in operations:
-            raise DocumentError(f"{context}: {where} references unknown "
-                                f"operation {op!r}")
-        return op
+    ``keys`` and ``values`` are ``(column, namespace)`` pairs.  A table
+    without values is a JSON list of fresh ids; one whose key column is
+    unnamed is a JSON object ``{key: value}``; any other is a JSON list of
+    rows with exactly its columns.  A table whose key column is NEW
+    declares the namespace named by its ``noun``.  A ``total`` table has a
+    row for every key its key namespaces allow (product indices as pairs
+    i < j); a ``per_product`` field holds one such table per product.
+    """
 
-    units = {}
-    for obj, op in _need(payload, "units", context).items():
-        units[obj] = resolve(op, f"unit of {obj!r}")
-    for obj in objects:
-        if obj not in units:
-            raise DocumentError(f"{context}: no unit for object {obj!r}")
+    field: str
+    noun: str
+    keys: tuple
+    values: tuple = ()
+    total: bool = False
+    per_product: bool = False
 
-    sigma = {}
-    for record in _need(payload, "sigma", context):
-        op = resolve(record["op"], "sigma row")
-        _put(sigma, (op, tuple(record["perm"])), resolve(record["result"], "sigma row"),
-             context, "sigma row")
-    gamma = {}
-    for record in _need(payload, "gamma", context):
-        outer = resolve(record["outer"], "gamma row")
-        inners = tuple(resolve(i, "gamma row") for i in record["inners"])
-        _put(gamma, (outer, inners), resolve(record["result"], "gamma row"),
-             context, "gamma row")
+    @cached_property
+    def names(self) -> list:
+        """Each column's place in a row, a JSON object's item, or an id's 1-tuple."""
+        return [i if name is None else name
+                for i, (name, _) in enumerate(self.keys + self.values)]
 
-    M = FinMulticat(_name(payload, "multicat", context), objects, max_arity,
-                    operations, units, sigma, gamma)
+    @cached_property
+    def key_of(self) -> itemgetter:
+        return itemgetter(*self.names[:len(self.keys)])
+
+    @cached_property
+    def value_of(self) -> itemgetter:
+        return itemgetter(*self.names[len(self.keys):])
+
+    @cached_property
+    def checks(self) -> tuple:
+        """``(namespace, of values, getter)`` of each column checked at once:
+        the table's keys or values, through ``getter`` if there are several.
+        A total table's key columns but product indices are checked against
+        its domain instead."""
+        n, m = len(self.keys), len(self.values)
+        return tuple((space, i >= n, itemgetter(i - n * (i >= n))
+                      if (m if i >= n else n) > 1 else None)
+                     for i, (_, space) in enumerate(self.keys + self.values)
+                     if i >= n or not self.total or space == PRODUCT)
+
+
+PAIR = (("left", OBJ), ("right", OBJ))
+MOR_PAIR = (("left", MOR), ("right", MOR))
+RESULT, MOR_RESULT, COMPONENT = (("result", OBJ),), (("result", MOR),), (("morphism", MOR),)
+
+OBJECTS = Table("objects", OBJ, ((None, NEW),))
+MULTICAT = (
+    OBJECTS,
+    Table("operations", OP, (("id", NEW),), (("output", OBJ), ("inputs", (OBJ,)))),
+    Table("units", "unit row", ((None, OBJ),), ((None, OP),), total=True),
+    Table("sigma", "sigma row", (("op", OP), ("perm", PERM)), (("result", OP),)),
+    Table("gamma", "gamma row", (("outer", OP), ("inners", (OP,))), (("result", OP),)),
+)
+PERMCAT = (
+    OBJECTS,
+    Table("morphisms", MOR, (("id", NEW),), (("src", OBJ), ("tgt", OBJ))),
+    Table("identities", "identity row", ((None, OBJ),), ((None, MOR),), total=True),
+    Table("composition", "composition row", (("after", MOR), ("before", MOR)),
+          MOR_RESULT),
+    Table("sum_objects", "sum row", PAIR, RESULT, total=True),
+    Table("sum_morphisms", "morphism sum row", MOR_PAIR, MOR_RESULT, total=True),
+    Table("symmetries", "symmetry row", PAIR, COMPONENT, total=True),
+)
+PRODUCT_TABLES = (
+    Table("objects", "product object row", PAIR, RESULT, total=True),
+    Table("morphisms", "product morphism row", MOR_PAIR, MOR_RESULT, total=True),
+)
+LEFT = Table("left_factorization", "component row", (("a", OBJ), ("b", OBJ), ("c", OBJ)),
+             COMPONENT, total=True)
+RIGHT = replace(LEFT, field="right_factorization")
+SYMMETRY = Table("multiplicative_symmetry", "component row", PAIR, COMPONENT, total=True)
+EXCHANGES = Table("exchanges", "exchange row", (("i", PRODUCT), ("j", PRODUCT)) + tuple(
+    (name, OBJ) for name in "abcd"), COMPONENT, total=True)
+FUNCTOR = (
+    Table("object_map", "object map row", ((None, OBJ),), ((None, TGT_OBJ),), total=True),
+    Table("morphism_map", "morphism map row", ((None, MOR),), ((None, TGT_MOR),),
+          total=True),
+    Table("monoidal_constraint", "component row", PAIR, (("morphism", TGT_MOR),),
+          total=True),
+)
+COMPONENTS = Table("components", "component row", ((None, OBJ),), ((None, TGT_MOR),),
+                   total=True)
+FLAGS = ("strict", "strictly_unital", "strong")
+
+# ring-family kind -> (category field, product field, tables)
+RING_FAMILY = {
+    "ring": ("additive", "product", (LEFT, RIGHT)),
+    "biperm": ("additive", "product", (LEFT, RIGHT, SYMMETRY)),
+    "braided": ("additive", "product", (LEFT, RIGHT, replace(SYMMETRY, field="braiding"))),
+    "nfold": ("category", "products", (EXCHANGES,)),
+    "en": ("additive", "products", (
+        replace(LEFT, field="left_factorizations", per_product=True),
+        replace(RIGHT, field="right_factorizations", per_product=True), EXCHANGES)),
+}
+
+
+def _is_id(space, cell, scope: dict, op=None) -> bool:
+    """Whether ``cell`` is an id of ``space`` (lists read as tuples); ``op``
+    is the row's operation when ``space`` is PERM."""
+    if type(space) is tuple:
+        return type(cell) is tuple and all(_is_id(space[0], c, scope) for c in cell)
+    if space == PERM:
+        return type(cell) is tuple and all(type(i) is int for i in cell) \
+            and sorted(cell) == list(range(1, len(scope[OP][op][1]) + 1))
+    return type(cell) is (int if space == PRODUCT else str) \
+        and (space == NEW or cell in scope[space])
+
+
+def _column_ok(space, cells, scope: dict, table: dict) -> bool:
+    """:func:`_is_id` for a whole column of a namespace not in PLAIN."""
+    if space == PERM:
+        return all(_is_id(PERM, perm, scope, op) for op, perm in table)
+    cells = list(cells)
+    if type(space) is tuple:
+        return set(map(type, cells)) <= {tuple} and all(
+            map(scope[space[0]].__contains__, itertools.chain.from_iterable(cells)))
+    return set(map(type, cells)) <= {str if space == NEW else int} \
+        and (space == NEW or all(map(scope[space].__contains__, cells)))
+
+
+def _domain(spec: Table, scope: dict):
+    """The keys of a total table, kept in ``scope`` for like-keyed tables."""
+    if spec.keys not in scope:
+        spaces = [scope[space] for _, space in spec.keys]
+        scope[spec.keys] = spaces[0].keys() if len(spaces) == 1 else \
+            {pair + key for pair, key in itertools.product(
+                itertools.combinations(spaces[0], 2), itertools.product(*spaces[2:]))} \
+            if spec.keys[0][1] == PRODUCT else set(itertools.product(*spaces))
+    return scope[spec.keys]
+
+
+def _read_table(spec: Table, rows, scope: dict, where: str) -> dict:
+    """The rows of ``spec`` as a dict from key (a tuple when there are
+    several key columns) to value (likewise): every cell resolved in its
+    namespace, lists read as tuples, no key twice and, if the table is
+    total, every key of its domain present."""
+    names = spec.names
+    try:  # the common case, checked a column at a time
+        if not spec.values:
+            table = dict.fromkeys(rows)
+            ok = type(rows) is list and len(table) == len(rows)
+        elif names[0] == 0:
+            table, ok = rows, type(rows) is dict
+        else:
+            for name, (_, space) in zip(names, spec.keys + spec.values):
+                for row in rows if type(space) is tuple or space == PERM else ():
+                    if type(row) is dict and type(row.get(name)) is list:
+                        row[name] = tuple(row[name])
+            table = dict(zip(map(spec.key_of, rows), map(spec.value_of, rows)))
+            ok = type(rows) is list and len(table) == len(rows) \
+                and sum(map(len, rows)) == len(names) * len(rows)
+        ok = ok and (not spec.total
+                     or table.keys() == (scope.get(spec.keys) or _domain(spec, scope)))
+        for space, of_values, get in spec.checks:
+            cells = table.values() if of_values else table
+            cells = cells if get is None else map(get, cells)
+            ok = ok and (all(map(scope[space].__contains__, cells)) if space in PLAIN
+                         else _column_ok(space, cells, scope, table))
+    except (KeyError, TypeError):  # a row without a column, or an unhashable cell
+        ok = False
+    if not ok:
+        _reject(spec, rows, scope, where)
+    if spec.keys[0][1] == NEW:
+        scope[spec.noun] = table
+    return table
+
+
+def _reject(spec: Table, rows, scope: dict, where: str):
+    """Raise a DocumentError naming the first row, cell, key or missing key
+    of ``rows`` that :func:`_read_table` does not accept."""
+    names, seen = spec.names, {}
+    if names[0] == 0:
+        rows = _typed(rows, dict, where).items() if spec.values \
+            else zip(_typed(rows, list, where))
+    for row in _typed(rows, list, where) if names[0] != 0 else rows:
+        if names[0] != 0 and (type(row) is not dict or row.keys() != set(names)):
+            raise DocumentError(f"{where}: {spec.noun} {row!r} must have "
+                                f"exactly the fields {names}")
+        for (_, space), name in zip(spec.keys + spec.values, names):
+            cell = row[name]
+            if _is_id(space, cell, scope, row[names[0]]):
+                continue
+            if space == NEW:
+                raise DocumentError(f"{where}: {spec.noun} id must be a string, not {cell!r}")
+            if type(space) is tuple and type(cell) is tuple:
+                space, cell = space[0], next(c for c in cell if not _is_id(space[0], c, scope))
+            elif type(space) is tuple:
+                space = f"{space[0]} list"
+            raise DocumentError(f"{where}: {spec.noun} references unknown {space} {cell!r}")
+        _put(seen, spec.key_of(row), None, where, spec.noun)
+    domain = _domain(spec, scope)  # only a total table gets this far
+    for key in seen:
+        if key not in domain:
+            raise DocumentError(f"{where}: {spec.noun} {key!r} lies outside "
+                                f"the table's domain")
+    spaces = [scope[space] for _, space in spec.keys]
+    for key in itertools.product(*spaces) if len(spaces) > 1 else spaces[0]:
+        if key in domain and key not in seen:
+            raise DocumentError(f"{where}: not total: no {spec.noun} for {key!r}")
+
+
+def _read_tables(payload: dict, tables: tuple, scope: dict, context: str) -> list:
+    out = []
+    for spec in tables:
+        rows, where = payload[spec.field], f"{context}: {spec.field}"
+        if not spec.per_product:
+            out.append(_read_table(spec, rows, scope, where))
+        elif len(_typed(rows, list, where)) != len(scope[PRODUCT]):
+            raise DocumentError(f"{where}: {len(rows)} tables for "
+                                f"{len(scope[PRODUCT])} products")
+        else:
+            out.append(tuple(_read_table(spec, table, scope, f"{where}[{i}]")
+                             for i, table in enumerate(rows)))
+    return out
+
+
+def _write_table(spec: Table, table):
+    """The JSON form of a table :func:`_read_table` returns, in key order."""
+    if spec.per_product:
+        return [_write_table(replace(spec, per_product=False), t) for t in table]
+    if not spec.values:
+        return sorted(table)
+    if spec.names[0] == 0:
+        return {key: table[key] for key in sorted(table)}
+    one_key, one_value = len(spec.keys) == 1, len(spec.values) == 1
+    return [dict(zip(spec.names, ((key,) if one_key else key)
+                     + ((value,) if one_value else value)))
+            for key, value in sorted(table.items())]
+
+
+def _write_tables(tables: tuple, values) -> dict:
+    return {spec.field: _write_table(spec, table) for spec, table in zip(tables, values)}
+
+
+def _scalar(space: str, payload: dict, field: str, scope: dict, context: str):
+    """The id of ``space`` a document's ``field`` holds."""
+    if _is_id(space, payload[field], scope):
+        return payload[field]
+    raise DocumentError(f"{context}: {field} references unknown {space} {payload[field]!r}")
+
+
+def _typed(value, kind: type, where: str):
+    if type(value) is not kind:
+        raise DocumentError(f"{where} must be a JSON {kind.__name__}, "
+                            f"not {type(value).__name__}")
+    return value
+
+
+def _fields(payload, context: str, tables: tuple, required=(), optional=(),
+            kind: str = "") -> dict:
+    """``payload`` as a JSON object with every field of ``tables`` and
+    ``required``, perhaps the ``optional`` ones and no other; a document of
+    ``kind`` nested in another may repeat its ``kind`` and ``version``."""
+    declared = [spec.field for spec in tables] + list(required)
+    optional += ("kind", "version") if kind else ()
+    if type(payload) is not dict or not payload.keys() <= {*declared, *optional} \
+            or not payload.keys() >= set(declared):
+        for field in _typed(payload, dict, context):
+            if field not in declared and field not in optional:
+                raise DocumentError(f"{context}: undeclared field {field!r}")
+        missing = next(field for field in declared if field not in payload)
+        raise DocumentError(f"{context}: missing field {missing!r}")
+    for field, expected in (("kind", kind), ("version", VERSION)) if kind else ():
+        value = payload.get(field, expected)
+        if type(value) is not type(expected) or value != expected:
+            raise DocumentError(f"{context}: {field} must be {expected!r}, not {value!r}")
+    return payload
+
+
+# ------------------------------------------------------------------- kinds
+
+def _read_multicat(payload, context: str) -> FinMulticat:
+    p = _fields(payload, context, MULTICAT, ("max_arity",), ("name",), "multicat")
+    max_arity = p["max_arity"]
+    if type(max_arity) is not int or max_arity < 0:
+        raise DocumentError(f"{context}: max_arity must be an integer >= 0, "
+                            f"not {max_arity!r}")
+    objects, operations, units, sigma, gamma = _read_tables(p, MULTICAT, {}, context)
     for op, (out, profile) in operations.items():
-        for perm in all_perms(len(profile)):
-            if (op, perm.images) not in sigma:
-                raise DocumentError(f"{context}: sigma table not total: "
-                                    f"missing ({op!r}, {perm.images})")
+        if len(profile) > max_arity:
+            raise DocumentError(f"{context}: operation {op!r} exceeds "
+                                f"the arity bound {max_arity}")
+    # each sigma row permutes the arity of its operation, so the count decides
+    if len(sigma) != sum(factorial(len(profile)) for _, profile in operations.values()):
+        for op, (out, profile) in operations.items():
+            for perm in all_perms(len(profile)):
+                if (op, perm.images) not in sigma:
+                    raise DocumentError(f"{context}: sigma table not total: "
+                                        f"missing ({op!r}, {perm.images})")
     by_output = _by_output((out, profile, op) for op, (out, profile) in operations.items())
     for op, (out, profile) in operations.items():
-        if not profile:
-            continue
-        for inners in _inner_tuples(by_output, profile, max_arity):
+        for inners in _inner_tuples(by_output, profile, max_arity) if profile else ():
             if (op, inners) not in gamma:
                 raise DocumentError(f"{context}: gamma table not total: "
                                     f"missing ({op!r}, {inners!r})")
-    return M
+    return FinMulticat(_name(p, "multicat", context), tuple(objects), max_arity,
+                       operations, units, sigma, gamma)
 
 
-# ----------------------------------------------------------------- permcat
-
-def permcat_to_doc(C: FinPermCat, kind: str = "permcat") -> dict:
-    return {
-        "kind": kind,
-        "version": VERSION,
-        "name": C.name,
-        "objects": sorted(C.objects),
-        "morphisms": sorted(
-            ({"id": f, "src": C.mor_src[f], "tgt": C.mor_tgt[f]}
-             for f in C.mor_src),
-            key=lambda r: r["id"]),
-        "identities": {x: C.identities[x] for x in sorted(C.identities)},
-        "composition": sorted(
-            ({"after": g, "before": f, "result": r}
-             for (g, f), r in C.composition.items()),
-            key=lambda r: (r["after"], r["before"])),
-        "unit": C.unit,
-        "sum_objects": sorted(
-            ({"left": x, "right": y, "result": r} for (x, y), r in C.sums.items()),
-            key=lambda r: (r["left"], r["right"])),
-        "sum_morphisms": sorted(
-            ({"left": f, "right": g, "result": r}
-             for (f, g), r in C.mor_sums.items()),
-            key=lambda r: (r["left"], r["right"])),
-        "symmetries": sorted(
-            ({"left": x, "right": y, "morphism": m}
-             for (x, y), m in C.symmetries.items()),
-            key=lambda r: (r["left"], r["right"])),
-    }
+def _write_multicat(M: FinMulticat) -> dict:
+    return {"kind": "multicat", "version": VERSION, "name": M.name, "max_arity": M.max_arity,
+            **_write_tables(MULTICAT, (M.objects, M.operations, M.units, M.sigma, M.gamma))}
 
 
-def permcat_from_doc(payload: Mapping) -> FinPermCat:
-    context = f"{payload.get('kind', 'permcat')} document"
-    objects = tuple(_need(payload, "objects", context))
-    mor_src = {}
-    mor_tgt = {}
-    for record in _need(payload, "morphisms", context):
-        for obj in (record["src"], record["tgt"]):
-            if obj not in objects:
-                raise DocumentError(f"{context}: morphism {record['id']!r} "
-                                    f"references unknown object {obj!r}")
-        _put(mor_src, record["id"], record["src"], context, "morphism")
-        mor_tgt[record["id"]] = record["tgt"]
-
-    def resolve_mor(f, where):
-        if f not in mor_src:
-            raise DocumentError(f"{context}: {where} references unknown "
-                                f"morphism {f!r}")
-        return f
-
-    def resolve_obj(x, where):
-        if x not in objects:
-            raise DocumentError(f"{context}: {where} references unknown "
-                                f"object {x!r}")
-        return x
-
-    identities = {}
-    for x, f in _need(payload, "identities", context).items():
-        identities[resolve_obj(x, "identity row")] = resolve_mor(f, "identity row")
-    for x in objects:
-        if x not in identities:
-            raise DocumentError(f"{context}: no identity for object {x!r}")
-
-    composition = {}
-    for record in _need(payload, "composition", context):
-        g = resolve_mor(record["after"], "composition row")
-        f = resolve_mor(record["before"], "composition row")
-        _put(composition, (g, f), resolve_mor(record["result"], "composition row"),
-             context, "composition row")
-    for f in mor_src:
-        for g in mor_src:
-            if mor_tgt[f] == mor_src[g] and (g, f) not in composition:
+def _read_permcat(payload, context: str) -> FinPermCat:
+    p = _fields(payload, context, PERMCAT, ("unit",), ("name",), "permcat")
+    scope = {}
+    objects, morphisms, identities, composition, sums, mor_sums, symmetries = \
+        _read_tables(p, PERMCAT, scope, context)
+    after = {}
+    for g, (src, _) in morphisms.items():
+        after.setdefault(src, []).append(g)
+    for f, (_, tgt) in morphisms.items():
+        for g in after.get(tgt, ()):
+            if (g, f) not in composition:
                 raise DocumentError(f"{context}: composition table not total: "
                                     f"missing ({g!r}, {f!r})")
-
-    unit = resolve_obj(_need(payload, "unit", context), "unit")
-    sums = {}
-    for record in _need(payload, "sum_objects", context):
-        _put(sums, (resolve_obj(record["left"], "sum row"),
-                    resolve_obj(record["right"], "sum row")),
-             resolve_obj(record["result"], "sum row"), context, "sum row")
-    mor_sums = {}
-    for record in _need(payload, "sum_morphisms", context):
-        _put(mor_sums, (resolve_mor(record["left"], "morphism sum row"),
-                        resolve_mor(record["right"], "morphism sum row")),
-             resolve_mor(record["result"], "morphism sum row"),
-             context, "morphism sum row")
-    symmetries = {}
-    for record in _need(payload, "symmetries", context):
-        _put(symmetries, (resolve_obj(record["left"], "symmetry row"),
-                          resolve_obj(record["right"], "symmetry row")),
-             resolve_mor(record["morphism"], "symmetry row"),
-             context, "symmetry row")
-    for x in objects:
-        for y in objects:
-            if (x, y) not in sums:
-                raise DocumentError(f"{context}: object sum table not total: "
-                                    f"missing ({x!r}, {y!r})")
-            if (x, y) not in symmetries:
-                raise DocumentError(f"{context}: symmetry table not total: "
-                                    f"missing ({x!r}, {y!r})")
-    for f in mor_src:
-        for g in mor_src:
-            if (f, g) not in mor_sums:
-                raise DocumentError(f"{context}: morphism sum table not total: "
-                                    f"missing ({f!r}, {g!r})")
-    return FinPermCat(_name(payload, "permcat", context), objects, mor_src, mor_tgt,
-                      identities, composition, unit, sums, mor_sums, symmetries)
+    return FinPermCat(_name(p, "permcat", context), tuple(objects),
+                      {f: src for f, (src, _) in morphisms.items()},
+                      {f: tgt for f, (_, tgt) in morphisms.items()},
+                      identities, composition, _scalar(OBJ, p, "unit", scope, context),
+                      sums, mor_sums, symmetries)
 
 
-# ------------------------------------------------------------------- rings
-
-def _product_to_doc(P: StrictProduct) -> dict:
-    return {
-        "unit": P.unit,
-        "objects": sorted(
-            ({"left": x, "right": y, "result": r}
-             for (x, y), r in P.obj_table.items()),
-            key=lambda r: (r["left"], r["right"])),
-        "morphisms": sorted(
-            ({"left": f, "right": g, "result": r}
-             for (f, g), r in P.mor_table.items()),
-            key=lambda r: (r["left"], r["right"])),
-    }
+def _write_permcat(C: FinPermCat, kind: str = "permcat") -> dict:
+    return {"version": VERSION, "name": C.name, "unit": C.unit, **_write_tables(PERMCAT, (
+        C.objects, {f: (C.mor_src[f], C.mor_tgt[f]) for f in C.mor_src},
+        C.identities, C.composition, C.sums, C.mor_sums, C.symmetries)),
+        **({"kind": kind} if kind else {})}
 
 
-def _product_from_doc(payload: Mapping, C: FinPermCat, context: str) -> StrictProduct:
-    obj_table = {}
-    for record in _need(payload, "objects", context):
-        _put(obj_table, (record["left"], record["right"]), record["result"],
-             context, "product object row")
-    mor_table = {}
-    for record in _need(payload, "morphisms", context):
-        _put(mor_table, (record["left"], record["right"]), record["result"],
-             context, "product morphism row")
-    for x in C.objects:
-        for y in C.objects:
-            if (x, y) not in obj_table:
-                raise DocumentError(f"{context}: product object table not total")
-    for f in C.morphisms():
-        for g in C.morphisms():
-            if (f, g) not in mor_table:
-                raise DocumentError(f"{context}: product morphism table not total")
-    return StrictProduct(_need(payload, "unit", context), obj_table, mor_table)
+def _read_product(payload, scope: dict, context: str) -> StrictProduct:
+    p = _fields(payload, context, PRODUCT_TABLES, ("unit",))
+    return StrictProduct(_scalar(OBJ, p, "unit", scope, context),
+                         *_read_tables(p, PRODUCT_TABLES, scope, context))
 
 
-def _components_to_doc(table: Mapping, names: tuple) -> list:
-    out = []
-    for key, mor in table.items():
-        record = dict(zip(names, key))
-        record["morphism"] = mor
-        out.append(record)
-    return sorted(out, key=lambda r: tuple(str(r[n]) for n in names))
+def _write_product(P: StrictProduct) -> dict:
+    return {"unit": P.unit, **_write_tables(PRODUCT_TABLES, (P.obj_table, P.mor_table))}
 
 
-def _components_from_doc(rows, names: tuple, context: str) -> dict:
-    table = {}
-    for record in rows:
-        key = tuple(record[n] for n in names)
-        _put(table, key if len(key) > 1 else key[0], record["morphism"],
-             context, "component row")
-    return table
+def _read_ring_family(payload, context: str, kind: str) -> tuple:
+    """``(name, category, product or products, *tables)`` of a document of a
+    kind in :data:`RING_FAMILY`."""
+    category_field, product_field, tables = RING_FAMILY[kind]
+    p = _fields(payload, context, tables, (category_field, product_field), ("name",), kind)
+    category = _read_permcat(p[category_field], f"{context}: {category_field}")
+    scope = {OBJ: dict.fromkeys(category.objects), MOR: category.mor_src}
+    where = f"{context}: {product_field}"
+    if product_field == "product":
+        products = _read_product(p[product_field], scope, where)
+    else:
+        products = tuple(_read_product(P, scope, f"{where}[{i}]")
+                         for i, P in enumerate(_typed(p[product_field], list, where)))
+        scope[PRODUCT] = range(1, len(products) + 1)
+    return (_name(p, kind, context), category, products,
+            *_read_tables(p, tables, scope, context))
 
 
-def ring_to_doc(R: RingCatData, kind: str = "ring") -> dict:
-    doc = {
-        "kind": kind,
-        "version": VERSION,
-        "name": R.name,
-        "additive": permcat_to_doc(R.additive),
-        "product": _product_to_doc(R.product),
-        "left_factorization": _components_to_doc(R.left_fact, ("a", "b", "c")),
-        "right_factorization": _components_to_doc(R.right_fact, ("a", "b", "c")),
-    }
-    doc["additive"].pop("kind")
-    return doc
+def _write_ring_family(kind: str, name: str, category, products, *tables) -> dict:
+    category_field, product_field, specs = RING_FAMILY[kind]
+    return {"kind": kind, "version": VERSION, "name": name,
+            category_field: _write_permcat(category, ""),
+            product_field: _write_product(products) if product_field == "product"
+            else [_write_product(P) for P in products], **_write_tables(specs, tables)}
 
 
-def ring_from_doc(payload: Mapping, kind: str = "ring") -> RingCatData:
-    context = f"{kind} document"
-    additive = permcat_from_doc({**payload["additive"], "kind": "permcat"})
-    product = _product_from_doc(_need(payload, "product", context), additive, context)
-    left = _components_from_doc(_need(payload, "left_factorization", context),
-                                ("a", "b", "c"), context)
-    right = _components_from_doc(_need(payload, "right_factorization", context),
-                                 ("a", "b", "c"), context)
-    for a in additive.objects:
-        for b in additive.objects:
-            for c in additive.objects:
-                if (a, b, c) not in left or (a, b, c) not in right:
-                    raise DocumentError(f"{context}: factorization tables not total")
-    return RingCatData(_name(payload, kind, context), additive, product, left, right)
+def _read_ring(payload, context: str, kind: str = "ring") -> tuple:
+    """The ring of a ``ring``, ``biperm`` or ``braided`` document, then the
+    rest of its tables."""
+    parts = _read_ring_family(payload, context, kind)
+    return RingCatData(*parts[:5]), *parts[5:]
 
 
-def biperm_to_doc(B: BipermData) -> dict:
-    doc = ring_to_doc(B.ring, kind="biperm")
-    doc["multiplicative_symmetry"] = _components_to_doc(
-        B.mult_symmetry, ("left", "right"))
-    return doc
+def _ring_parts(R: RingCatData) -> tuple:
+    return R.name, R.additive, R.product, R.left_fact, R.right_fact
 
 
-def biperm_from_doc(payload: Mapping) -> BipermData:
-    ring = ring_from_doc(payload, kind="biperm")
-    table = _components_from_doc(payload["multiplicative_symmetry"],
-                                 ("left", "right"), "biperm document")
-    return BipermData(ring, table)
+def _read_functor(payload, context: str) -> SymMonFunctor:
+    p = _fields(payload, context, FUNCTOR, ("source", "target", "unit_constraint"),
+                ("flags",), "functor")
+    source = _read_permcat(p["source"], f"{context}: source")
+    target = _read_permcat(p["target"], f"{context}: target")
+    scope = {OBJ: dict.fromkeys(source.objects), MOR: source.mor_src,
+             TGT_OBJ: dict.fromkeys(target.objects), TGT_MOR: target.mor_src}
+    flags = _fields(p.get("flags", {}), f"{context}: flags", (), (), FLAGS)
+    for name, value in flags.items():
+        if type(value) is not bool:
+            raise DocumentError(f"{context}: flag {name!r} must be a boolean, "
+                                f"not {value!r}")
+    return SymMonFunctor(source, target, *_read_tables(p, FUNCTOR, scope, context),
+                         _scalar(TGT_MOR, p, "unit_constraint", scope, context), **flags)
 
 
-def braided_to_doc(B: BraidedRingData) -> dict:
-    doc = ring_to_doc(B.ring, kind="braided")
-    doc["braiding"] = _components_to_doc(B.braiding, ("left", "right"))
-    return doc
+def _write_functor(P: SymMonFunctor) -> dict:
+    C = P.source
+    return {"kind": "functor", "version": VERSION, "source": _write_permcat(C),
+            "target": _write_permcat(P.target), "unit_constraint": P.unit_constraint(),
+            "flags": {flag: getattr(P, flag) for flag in FLAGS}, **_write_tables(FUNCTOR, (
+                {x: P.on_obj(x) for x in C.objects}, {f: P.on_mor(f) for f in C.mor_src},
+                {(x, y): P.monoidal(x, y) for x, y in itertools.product(C.objects, repeat=2)}
+            ))}
 
 
-def braided_from_doc(payload: Mapping) -> BraidedRingData:
-    ring = ring_from_doc(payload, kind="braided")
-    table = _components_from_doc(payload["braiding"], ("left", "right"),
-                                 "braided document")
-    return BraidedRingData(ring, table)
+def _read_multinat(payload, context: str) -> MonoidalNat:
+    p = _fields(payload, context, (COMPONENTS,), ("source", "target"), (), "multinat")
+    source = _read_functor(p["source"], f"{context}: source")
+    target = _read_functor(p["target"], f"{context}: target")
+    scope = {OBJ: dict.fromkeys(source.source.objects), TGT_MOR: source.target.mor_src}
+    return MonoidalNat(source, target, *_read_tables(p, (COMPONENTS,), scope, context))
 
 
-def _exchanges_to_doc(exchanges: Mapping) -> list:
-    out = []
-    for (i, j, a, b, c, d), mor in exchanges.items():
-        out.append({"i": i, "j": j, "a": a, "b": b, "c": c, "d": d,
-                    "morphism": mor})
-    return sorted(out, key=lambda r: (r["i"], r["j"], r["a"], r["b"], r["c"], r["d"]))
+def _write_multinat(theta: MonoidalNat) -> dict:
+    return {"kind": "multinat", "version": VERSION, "source": _write_functor(theta.source),
+            "target": _write_functor(theta.target), **_write_tables((COMPONENTS,), (
+                {x: theta.at(x) for x in theta.source.source.objects},))}
 
 
-def _exchanges_from_doc(rows, context: str) -> dict:
-    table = {}
-    for r in rows:
-        _put(table, (r["i"], r["j"], r["a"], r["b"], r["c"], r["d"]), r["morphism"],
-             context, "exchange row")
-    return table
-
-
-def nfold_to_doc(D: NFoldData) -> dict:
-    doc = {
-        "kind": "nfold",
-        "version": VERSION,
-        "name": D.name,
-        "category": permcat_to_doc(D.category),
-        "products": [_product_to_doc(P) for P in D.products],
-        "exchanges": _exchanges_to_doc(D.exchanges),
-    }
-    doc["category"].pop("kind")
-    return doc
-
-
-def nfold_from_doc(payload: Mapping) -> NFoldData:
-    context = "nfold document"
-    category = permcat_from_doc({**payload["category"], "kind": "permcat"})
-    products = tuple(_product_from_doc(p, category, context)
-                     for p in _need(payload, "products", context))
-    exchanges = _exchanges_from_doc(_need(payload, "exchanges", context), context)
-    return NFoldData(_name(payload, "nfold", context), category, products, exchanges)
-
-
-def en_to_doc(E: EnData) -> dict:
-    doc = {
-        "kind": "en",
-        "version": VERSION,
-        "name": E.name,
-        "additive": permcat_to_doc(E.additive),
-        "products": [_product_to_doc(P) for P in E.products],
-        "left_factorizations": [
-            _components_to_doc(t, ("a", "b", "c")) for t in E.left_facts],
-        "right_factorizations": [
-            _components_to_doc(t, ("a", "b", "c")) for t in E.right_facts],
-        "exchanges": _exchanges_to_doc(E.exchanges),
-    }
-    doc["additive"].pop("kind")
-    return doc
-
-
-def en_from_doc(payload: Mapping) -> EnData:
-    context = "en document"
-    additive = permcat_from_doc({**payload["additive"], "kind": "permcat"})
-    products = tuple(_product_from_doc(p, additive, context)
-                     for p in _need(payload, "products", context))
-    lefts = tuple(_components_from_doc(rows, ("a", "b", "c"), context)
-                  for rows in _need(payload, "left_factorizations", context))
-    rights = tuple(_components_from_doc(rows, ("a", "b", "c"), context)
-                   for rows in _need(payload, "right_factorizations", context))
-    exchanges = _exchanges_from_doc(_need(payload, "exchanges", context), context)
-    return EnData(_name(payload, "en", context), additive, products, lefts, rights,
-                  exchanges)
-
-
-# ---------------------------------------------------------------- functors
-
-def functor_to_doc(P: SymMonFunctor) -> dict:
-    C, D = P.source, P.target
-    return {
-        "kind": "functor",
-        "version": VERSION,
-        "source": permcat_to_doc(C),
-        "target": permcat_to_doc(D),
-        "object_map": {x: P.on_obj(x) for x in sorted(C.objects)},
-        "morphism_map": {f: P.on_mor(f) for f in sorted(C.mor_src)},
-        "monoidal_constraint": sorted(
-            ({"left": x, "right": y, "morphism": P.monoidal(x, y)}
-             for x in C.objects for y in C.objects),
-            key=lambda r: (r["left"], r["right"])),
-        "unit_constraint": P.unit_constraint(),
-        "flags": {"strict": P.strict, "strictly_unital": P.strictly_unital,
-                  "strong": P.strong},
-    }
-
-
-def functor_from_doc(payload: Mapping) -> SymMonFunctor:
-    context = "functor document"
-    source = permcat_from_doc(_need(payload, "source", context))
-    target = permcat_from_doc(_need(payload, "target", context))
-    obj_map = dict(_need(payload, "object_map", context))
-    mor_map = dict(_need(payload, "morphism_map", context))
-    for x in source.objects:
-        if x not in obj_map:
-            raise DocumentError(f"{context}: object map not total at {x!r}")
-    for f in source.morphisms():
-        if f not in mor_map:
-            raise DocumentError(f"{context}: morphism map not total at {f!r}")
-    m2 = _components_from_doc(_need(payload, "monoidal_constraint", context),
-                              ("left", "right"), context)
-    flags = payload.get("flags", {})
-    return SymMonFunctor(source, target, obj_map, mor_map, m2,
-                         _need(payload, "unit_constraint", context),
-                         strict=flags.get("strict", False),
-                         strictly_unital=flags.get("strictly_unital", False),
-                         strong=flags.get("strong", False))
-
-
-def multinat_to_doc(theta: MonoidalNat) -> dict:
-    C = theta.source.source
-    return {
-        "kind": "multinat",
-        "version": VERSION,
-        "source": functor_to_doc(theta.source),
-        "target": functor_to_doc(theta.target),
-        "components": {x: theta.at(x) for x in sorted(C.objects)},
-    }
-
-
-def multinat_from_doc(payload: Mapping) -> MonoidalNat:
-    context = "multinat document"
-    source = functor_from_doc(_need(payload, "source", context))
-    target = functor_from_doc(_need(payload, "target", context))
-    components = dict(_need(payload, "components", context))
-    for x in source.source.objects:
-        if x not in components:
-            raise DocumentError(f"{context}: components not total at {x!r}")
-    return MonoidalNat(source, target, components)
-
-
-PARSERS = {
-    "multicat": multicat_from_doc,
-    "permcat": permcat_from_doc,
-    "ring": ring_from_doc,
-    "biperm": biperm_from_doc,
-    "braided": braided_from_doc,
-    "nfold": nfold_from_doc,
-    "en": en_from_doc,
-    "functor": functor_from_doc,
-    "multinat": multinat_from_doc,
+# kind -> (reader, writer)
+KINDS = {
+    "multicat": (_read_multicat, _write_multicat),
+    "permcat": (_read_permcat, _write_permcat),
+    "ring": (lambda p, context: _read_ring(p, context)[0],
+             lambda R: _write_ring_family("ring", *_ring_parts(R))),
+    "biperm": (lambda p, context: BipermData(*_read_ring(p, context, "biperm")),
+               lambda B: _write_ring_family("biperm", *_ring_parts(B.ring), B.mult_symmetry)),
+    "braided": (lambda p, context: BraidedRingData(*_read_ring(p, context, "braided")),
+                lambda B: _write_ring_family("braided", *_ring_parts(B.ring), B.braiding)),
+    "nfold": (lambda p, context: NFoldData(*_read_ring_family(p, context, "nfold")),
+              lambda D: _write_ring_family("nfold", D.name, D.category, D.products,
+                                           D.exchanges)),
+    "en": (lambda p, context: EnData(*_read_ring_family(p, context, "en")),
+           lambda E: _write_ring_family("en", E.name, E.additive, E.products,
+                                        E.left_facts, E.right_facts, E.exchanges)),
+    "functor": (_read_functor, _write_functor),
+    "multinat": (_read_multinat, _write_multinat),
 }
 
 
@@ -541,22 +549,8 @@ def parse_document(text: str):
     """Parse any supported document; returns ``(kind, structure)``."""
     payload = loads(text)
     kind = payload["kind"]
-    parser = PARSERS[kind]
-    if kind == "ring":
-        return kind, parser(payload, kind="ring")
-    return kind, parser(payload)
+    return kind, KINDS[kind][0](payload, f"{kind} document")
 
 
 def serialize(kind: str, structure) -> str:
-    builders = {
-        "multicat": multicat_to_doc,
-        "permcat": permcat_to_doc,
-        "ring": ring_to_doc,
-        "biperm": biperm_to_doc,
-        "braided": braided_to_doc,
-        "nfold": nfold_to_doc,
-        "en": en_to_doc,
-        "functor": functor_to_doc,
-        "multinat": multinat_to_doc,
-    }
-    return dumps(builders[kind](structure))
+    return dumps(KINDS[kind][1](structure))

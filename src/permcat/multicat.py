@@ -486,16 +486,19 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
                           (M.output_of(op), perm_act(s, profile)),
                           ("boundary", op, s.images))
             for t in all_perms(n):
-                report.expect("symmetry-action",
-                              M.act(M.act(op, s), t), M.act(op, perm_compose(s, t)),
-                              (op, s.images, t.images))
+                report.evaluate("symmetry-action",
+                                lambda: M.act(M.act(op, s), t),
+                                lambda: M.act(op, perm_compose(s, t)),
+                                (op, s.images, t.images))
 
     for profile, op in all_ops:
         target = M.output_of(op)
-        report.expect("left-unity", compose(M.unit(target), (op,)), op, ("left", op))
+        report.evaluate("left-unity", lambda: compose(M.unit(target), (op,)), lambda: op,
+                        ("left", op))
         if profile:
             units = tuple(M.unit(x) for x in profile)
-            report.expect("right-unity", compose(op, units), op, ("right", op))
+            report.evaluate("right-unity", lambda: compose(op, units), lambda: op,
+                            ("right", op))
 
     composables = []
     for profile, outer in all_ops:

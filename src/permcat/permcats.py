@@ -149,8 +149,10 @@ def validate_permcat(C, objects: Sequence | None = None,
         i = C.identity(x)
         report.expect("identity-typing", (C.src(i), C.tgt(i)), (x, x), ("id", x))
     for f in mors:
-        report.expect("category-unity", C.compose(C.identity(C.tgt(f)), f), f, ("left", f))
-        report.expect("category-unity", C.compose(f, C.identity(C.src(f))), f, ("right", f))
+        report.evaluate("category-unity", lambda: C.compose(C.identity(C.tgt(f)), f),
+                        lambda: f, ("left", f))
+        report.evaluate("category-unity", lambda: C.compose(f, C.identity(C.src(f))),
+                        lambda: f, ("right", f))
     for f in mors:
         for g in mors:
             if C.src(g) != C.tgt(f):

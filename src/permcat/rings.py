@@ -104,9 +104,9 @@ def _validate_strict_monoidal(C: FinPermCat, P: StrictProduct) -> CheckReport:
         for f2, g2 in itertools.product(mors, repeat=2):
             if C.src(f2) != C.tgt(f) or C.src(g2) != C.tgt(g):
                 continue
-            report.expect("multiplicative-functoriality",
-                          P.on_mor(C.compose(f2, f), C.compose(g2, g)),
-                          C.compose(P.on_mor(f2, g2), fg), (f2, f, g2, g))
+            report.evaluate("multiplicative-functoriality",
+                            lambda: P.on_mor(C.compose(f2, f), C.compose(g2, g)),
+                            lambda: C.compose(P.on_mor(f2, g2), fg), (f2, f, g2, g))
     for f, g, h in itertools.product(mors, repeat=3):
         report.expect("multiplicative-associativity",
                       P.on_mor(P.on_mor(f, g), h), P.on_mor(f, P.on_mor(g, h)),
@@ -155,16 +155,16 @@ def validate_ring_category(R: RingCatData) -> CheckReport:
     for f, g, h in itertools.product(mors, repeat=3):
         A, B, Cc = C.src(f), C.src(g), C.src(h)
         A2, B2, C2 = C.tgt(f), C.tgt(g), C.tgt(h)
-        report.expect("factorization-naturality",
-                      C.compose(dl(A2, B2, C2),
-                                C.sum_mor(P.on_mor(f, h), P.on_mor(g, h))),
-                      C.compose(P.on_mor(C.sum_mor(f, g), h), dl(A, B, Cc)),
-                      ("left", f, g, h))
-        report.expect("factorization-naturality",
-                      C.compose(dr(A2, B2, C2),
-                                C.sum_mor(P.on_mor(f, g), P.on_mor(f, h))),
-                      C.compose(P.on_mor(f, C.sum_mor(g, h)), dr(A, B, Cc)),
-                      ("right", f, g, h))
+        report.evaluate("factorization-naturality",
+                        lambda: C.compose(dl(A2, B2, C2),
+                                          C.sum_mor(P.on_mor(f, h), P.on_mor(g, h))),
+                        lambda: C.compose(P.on_mor(C.sum_mor(f, g), h), dl(A, B, Cc)),
+                        ("left", f, g, h))
+        report.evaluate("factorization-naturality",
+                        lambda: C.compose(dr(A2, B2, C2),
+                                          C.sum_mor(P.on_mor(f, g), P.on_mor(f, h))),
+                        lambda: C.compose(P.on_mor(f, C.sum_mor(g, h)), dr(A, B, Cc)),
+                        ("right", f, g, h))
 
     for a in objs:
         report.expect("multiplicative-zero", P.on_obj(a, zero), zero, ("right", a))
@@ -195,58 +195,58 @@ def validate_ring_category(R: RingCatData) -> CheckReport:
                       dr(one, a, b), C.identity(C.sum_obj(a, b)), ("right", a, b))
 
     for a, b, c in itertools.product(objs, repeat=3):
-        report.expect("symmetry-factorization",
-                      C.compose(dl(b, a, c), C.xi(P.on_obj(a, c), P.on_obj(b, c))),
-                      C.compose(P.on_mor(C.xi(a, b), C.identity(c)), dl(a, b, c)),
-                      ("left", a, b, c))
-        report.expect("symmetry-factorization",
-                      C.compose(dr(a, c, b), C.xi(P.on_obj(a, b), P.on_obj(a, c))),
-                      C.compose(P.on_mor(C.identity(a), C.xi(b, c)), dr(a, b, c)),
-                      ("right", a, b, c))
+        report.evaluate("symmetry-factorization",
+                        lambda: C.compose(dl(b, a, c), C.xi(P.on_obj(a, c), P.on_obj(b, c))),
+                        lambda: C.compose(P.on_mor(C.xi(a, b), C.identity(c)), dl(a, b, c)),
+                        ("left", a, b, c))
+        report.evaluate("symmetry-factorization",
+                        lambda: C.compose(dr(a, c, b), C.xi(P.on_obj(a, b), P.on_obj(a, c))),
+                        lambda: C.compose(P.on_mor(C.identity(a), C.xi(b, c)), dr(a, b, c)),
+                        ("right", a, b, c))
 
     for a, a2, a3, b in itertools.product(objs, repeat=4):
-        lhs = C.compose(dl(C.sum_obj(a, a2), a3, b),
-                        C.sum_mor(dl(a, a2, b), C.identity(P.on_obj(a3, b))))
-        rhs = C.compose(dl(a, C.sum_obj(a2, a3), b),
-                        C.sum_mor(C.identity(P.on_obj(a, b)), dl(a2, a3, b)))
-        report.expect("internal-factorization", lhs, rhs, ("left", a, a2, a3, b))
-        top = C.compose(dr(a, C.sum_obj(b, a2), a3),
-                        C.sum_mor(dr(a, b, a2), C.identity(P.on_obj(a, a3))))
-        bottom = C.compose(dr(a, b, C.sum_obj(a2, a3)),
-                           C.sum_mor(C.identity(P.on_obj(a, b)), dr(a, a2, a3)))
-        report.expect("internal-factorization", top, bottom, ("right", a, b, a2, a3))
+        lhs = lambda: C.compose(dl(C.sum_obj(a, a2), a3, b),
+                                C.sum_mor(dl(a, a2, b), C.identity(P.on_obj(a3, b))))
+        rhs = lambda: C.compose(dl(a, C.sum_obj(a2, a3), b),
+                                C.sum_mor(C.identity(P.on_obj(a, b)), dl(a2, a3, b)))
+        report.evaluate("internal-factorization", lhs, rhs, ("left", a, a2, a3, b))
+        top = lambda: C.compose(dr(a, C.sum_obj(b, a2), a3),
+                                C.sum_mor(dr(a, b, a2), C.identity(P.on_obj(a, a3))))
+        bottom = lambda: C.compose(dr(a, b, C.sum_obj(a2, a3)),
+                                   C.sum_mor(C.identity(P.on_obj(a, b)), dr(a, a2, a3)))
+        report.evaluate("internal-factorization", top, bottom, ("right", a, b, a2, a3))
 
     for a, a2, b, c in itertools.product(objs, repeat=4):
-        report.expect(
+        report.evaluate(
             "external-factorization",
-            dl(a, a2, P.on_obj(b, c)),
-            C.compose(P.on_mor(dl(a, a2, b), C.identity(c)),
-                      dl(P.on_obj(a, b), P.on_obj(a2, b), c)),
+            lambda: dl(a, a2, P.on_obj(b, c)),
+            lambda: C.compose(P.on_mor(dl(a, a2, b), C.identity(c)),
+                              dl(P.on_obj(a, b), P.on_obj(a2, b), c)),
             ("first", a, a2, b, c))
-        report.expect(
+        report.evaluate(
             "external-factorization",
-            C.compose(P.on_mor(dr(a, b, a2), C.identity(c)),
-                      dl(P.on_obj(a, b), P.on_obj(a, a2), c)),
-            C.compose(P.on_mor(C.identity(a), dl(b, a2, c)),
-                      dr(a, P.on_obj(b, c), P.on_obj(a2, c))),
+            lambda: C.compose(P.on_mor(dr(a, b, a2), C.identity(c)),
+                              dl(P.on_obj(a, b), P.on_obj(a, a2), c)),
+            lambda: C.compose(P.on_mor(C.identity(a), dl(b, a2, c)),
+                              dr(a, P.on_obj(b, c), P.on_obj(a2, c))),
             ("second", a, b, a2, c))
-        report.expect(
+        report.evaluate(
             "external-factorization",
-            dr(P.on_obj(a, b), c, a2),
-            C.compose(P.on_mor(C.identity(a), dr(b, c, a2)),
-                      dr(a, P.on_obj(b, c), P.on_obj(b, a2))),
+            lambda: dr(P.on_obj(a, b), c, a2),
+            lambda: C.compose(P.on_mor(C.identity(a), dr(b, c, a2)),
+                              dr(a, P.on_obj(b, c), P.on_obj(b, a2))),
             ("third", a, b, c, a2))
 
     for a, a2, b, b2 in itertools.product(objs, repeat=4):
-        path1 = C.compose(dl(a, a2, C.sum_obj(b, b2)),
-                          C.sum_mor(dr(a, b, b2), dr(a2, b, b2)))
+        path1 = lambda: C.compose(dl(a, a2, C.sum_obj(b, b2)),
+                                  C.sum_mor(dr(a, b, b2), dr(a2, b, b2)))
         shuffle = C.sum_mor(
             C.sum_mor(C.identity(P.on_obj(a, b)),
                       C.xi(P.on_obj(a, b2), P.on_obj(a2, b))),
             C.identity(P.on_obj(a2, b2)))
-        path2 = C.compose(dr(C.sum_obj(a, a2), b, b2),
-                          C.compose(C.sum_mor(dl(a, a2, b), dl(a, a2, b2)), shuffle))
-        report.expect("2x2-factorization", path1, path2, (a, a2, b, b2))
+        path2 = lambda: C.compose(dr(C.sum_obj(a, a2), b, b2),
+                                  C.compose(C.sum_mor(dl(a, a2, b), dl(a, a2, b2)), shuffle))
+        report.evaluate("2x2-factorization", path1, path2, (a, a2, b, b2))
 
     from .permcats import _is_invertible
     tight = True
@@ -312,37 +312,37 @@ def validate_braided_ring(B: BraidedRingData) -> CheckReport:
         report.expect("braiding-invertible",
                       bool(_is_invertible(C, bxy)), True, (x, y))
     for f, g in itertools.product(mors, repeat=2):
-        report.expect("braiding-naturality",
-                      C.compose(beta(C.tgt(f), C.tgt(g)), P.on_mor(f, g)),
-                      C.compose(P.on_mor(g, f), beta(C.src(f), C.src(g))), (f, g))
+        report.evaluate("braiding-naturality",
+                        lambda: C.compose(beta(C.tgt(f), C.tgt(g)), P.on_mor(f, g)),
+                        lambda: C.compose(P.on_mor(g, f), beta(C.src(f), C.src(g))), (f, g))
     for x in objs:
         report.expect("braiding-unity", beta(x, one), C.identity(x), ("right", x))
         report.expect("braiding-unity", beta(one, x), C.identity(x), ("left", x))
     for x, y, z in itertools.product(objs, repeat=3):
-        report.expect(
+        report.evaluate(
             "braiding-hexagon",
-            beta(x, P.on_obj(y, z)),
-            C.compose(P.on_mor(C.identity(y), beta(x, z)),
-                      P.on_mor(beta(x, y), C.identity(z))), ("first", x, y, z))
-        report.expect(
+            lambda: beta(x, P.on_obj(y, z)),
+            lambda: C.compose(P.on_mor(C.identity(y), beta(x, z)),
+                              P.on_mor(beta(x, y), C.identity(z))), ("first", x, y, z))
+        report.evaluate(
             "braiding-hexagon",
-            beta(P.on_obj(x, y), z),
-            C.compose(P.on_mor(beta(x, z), C.identity(y)),
-                      P.on_mor(C.identity(x), beta(y, z))), ("second", x, y, z))
+            lambda: beta(P.on_obj(x, y), z),
+            lambda: C.compose(P.on_mor(beta(x, z), C.identity(y)),
+                              P.on_mor(C.identity(x), beta(y, z))), ("second", x, y, z))
     for a in objs:
         report.expect("zero-braiding", beta(a, zero), C.identity(zero), ("right", a))
         report.expect("zero-braiding", beta(zero, a), C.identity(zero), ("left", a))
     for a, b, c in itertools.product(objs, repeat=3):
-        first = C.compose(R.right_fact[c, a, b], C.sum_mor(beta(a, c), beta(b, c)))
-        report.expect("braiding-factorization",
-                      first,
-                      C.compose(beta(C.sum_obj(a, b), c), R.left_fact[a, b, c]),
-                      ("upper", a, b, c))
-        second = C.compose(R.left_fact[a, b, c], C.sum_mor(beta(c, a), beta(c, b)))
-        report.expect("braiding-factorization",
-                      second,
-                      C.compose(beta(c, C.sum_obj(a, b)), R.right_fact[c, a, b]),
-                      ("lower", a, b, c))
+        first = lambda: C.compose(R.right_fact[c, a, b], C.sum_mor(beta(a, c), beta(b, c)))
+        report.evaluate("braiding-factorization",
+                        first,
+                        lambda: C.compose(beta(C.sum_obj(a, b), c), R.left_fact[a, b, c]),
+                        ("upper", a, b, c))
+        second = lambda: C.compose(R.left_fact[a, b, c], C.sum_mor(beta(c, a), beta(c, b)))
+        report.evaluate("braiding-factorization",
+                        second,
+                        lambda: C.compose(beta(c, C.sum_obj(a, b)), R.right_fact[c, a, b]),
+                        ("lower", a, b, c))
     return report
 
 
@@ -377,13 +377,13 @@ def validate_nfold_monoidal(D: NFoldData) -> CheckReport:
                           (i, j, a, b, c, d))
         for fs in itertools.product(mors, repeat=4):
             f, g, u, v = fs
-            lhs = C.compose(
+            lhs = lambda: C.compose(
                 eta(i, j, C.tgt(f), C.tgt(g), C.tgt(u), C.tgt(v)),
                 Pi.on_mor(Pj.on_mor(f, g), Pj.on_mor(u, v)))
-            rhs = C.compose(
+            rhs = lambda: C.compose(
                 Pj.on_mor(Pi.on_mor(f, u), Pi.on_mor(g, v)),
                 eta(i, j, C.src(f), C.src(g), C.src(u), C.src(v)))
-            report.expect("exchange-naturality", lhs, rhs, (i, j) + fs)
+            report.evaluate("exchange-naturality", lhs, rhs, (i, j) + fs)
         for a, b in itertools.product(objs, repeat=2):
             report.expect("internal-unity",
                           eta(i, j, a, b, one, one),
@@ -399,43 +399,43 @@ def validate_nfold_monoidal(D: NFoldData) -> CheckReport:
                           C.identity(Pi.on_obj(a, b)), ("second", i, j, a, b))
         for args in itertools.product(objs, repeat=6):
             a, a2, b, b2, c, c2 = args
-            lhs = C.compose(
+            lhs = lambda: C.compose(
                 eta(i, j, a, a2, Pi.on_obj(b, c), Pi.on_obj(b2, c2)),
                 Pi.on_mor(C.identity(Pj.on_obj(a, a2)), eta(i, j, b, b2, c, c2)))
-            rhs = C.compose(
+            rhs = lambda: C.compose(
                 eta(i, j, Pi.on_obj(a, b), Pi.on_obj(a2, b2), c, c2),
                 Pi.on_mor(eta(i, j, a, a2, b, b2), C.identity(Pj.on_obj(c, c2))))
-            report.expect("internal-associativity", lhs, rhs, (i, j) + args)
+            report.evaluate("internal-associativity", lhs, rhs, (i, j) + args)
             a1, a2_, a3, b1, b2_, b3 = args
-            lhs = C.compose(
+            lhs = lambda: C.compose(
                 Pj.on_mor(C.identity(Pi.on_obj(a1, b1)),
                           eta(i, j, a2_, a3, b2_, b3)),
                 eta(i, j, a1, Pj.on_obj(a2_, a3), b1, Pj.on_obj(b2_, b3)))
-            rhs = C.compose(
+            rhs = lambda: C.compose(
                 Pj.on_mor(eta(i, j, a1, a2_, b1, b2_),
                           C.identity(Pi.on_obj(a3, b3))),
                 eta(i, j, Pj.on_obj(a1, a2_), a3, Pj.on_obj(b1, b2_), b3))
-            report.expect("external-associativity", lhs, rhs, (i, j) + args)
+            report.evaluate("external-associativity", lhs, rhs, (i, j) + args)
     triples = [(i, j, k) for i in range(1, n + 1)
                for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
     for i, j, k in triples:
         Pi, Pj, Pk = D.products[i - 1], D.products[j - 1], D.products[k - 1]
         for args in itertools.product(objs, repeat=8):
             a, a2, b, b2, c, c2, d, d2 = args
-            left = C.compose(
+            left = lambda: C.compose(
                 Pk.on_mor(eta(i, j, a, b, c, d), eta(i, j, a2, b2, c2, d2)),
                 C.compose(
                     eta(i, k, Pj.on_obj(a, b), Pj.on_obj(a2, b2),
                         Pj.on_obj(c, d), Pj.on_obj(c2, d2)),
                     Pi.on_mor(eta(j, k, a, a2, b, b2), eta(j, k, c, c2, d, d2))))
-            right = C.compose(
+            right = lambda: C.compose(
                 eta(j, k, Pi.on_obj(a, c), Pi.on_obj(a2, c2),
                     Pi.on_obj(b, d), Pi.on_obj(b2, d2)),
                 C.compose(
                     Pj.on_mor(eta(i, k, a, a2, c, c2), eta(i, k, b, b2, d, d2)),
                     eta(i, j, Pk.on_obj(a, a2), Pk.on_obj(b, b2),
                         Pk.on_obj(c, c2), Pk.on_obj(d, d2))))
-            report.expect("triple-exchange", left, right, (i, j, k) + args)
+            report.evaluate("triple-exchange", left, right, (i, j, k) + args)
     return report
 
 
@@ -470,45 +470,45 @@ def validate_en_monoidal(E: EnData) -> CheckReport:
         drj = lambda a, b, c: E.right_facts[j - 1][a, b, c]
         eta = lambda a, b, c, d: E.exchanges[i, j, a, b, c, d]
         for a, a2, b, c, d in itertools.product(objs, repeat=5):
-            lhs = C.compose(
+            lhs = lambda: C.compose(
                 Pj.on_mor(dli(a, a2, c), C.identity(Pi.on_obj(b, d))),
                 C.compose(dlj(Pi.on_obj(a, c), Pi.on_obj(a2, c), Pi.on_obj(b, d)),
                           C.sum_mor(eta(a, b, c, d), eta(a2, b, c, d))))
-            rhs = C.compose(
+            rhs = lambda: C.compose(
                 eta(C.sum_obj(a, a2), b, c, d),
                 C.compose(Pi.on_mor(dlj(a, a2, b), C.identity(Pj.on_obj(c, d))),
                           dli(Pj.on_obj(a, b), Pj.on_obj(a2, b), Pj.on_obj(c, d))))
-            report.expect("exchange-factorization", lhs, rhs,
-                          ("first", i, j, a, a2, b, c, d))
-            lhs = C.compose(
+            report.evaluate("exchange-factorization", lhs, rhs,
+                            ("first", i, j, a, a2, b, c, d))
+            lhs = lambda: C.compose(
                 Pj.on_mor(C.identity(Pi.on_obj(a, c)), dli(b, a2, d)),
                 C.compose(drj(Pi.on_obj(a, c), Pi.on_obj(b, d), Pi.on_obj(a2, d)),
                           C.sum_mor(eta(a, b, c, d), eta(a, a2, c, d))))
-            rhs = C.compose(
+            rhs = lambda: C.compose(
                 eta(a, C.sum_obj(b, a2), c, d),
                 C.compose(Pi.on_mor(drj(a, b, a2), C.identity(Pj.on_obj(c, d))),
                           dli(Pj.on_obj(a, b), Pj.on_obj(a, a2), Pj.on_obj(c, d))))
-            report.expect("exchange-factorization", lhs, rhs,
-                          ("second", i, j, a, b, a2, c, d))
-            lhs = C.compose(
+            report.evaluate("exchange-factorization", lhs, rhs,
+                            ("second", i, j, a, b, a2, c, d))
+            lhs = lambda: C.compose(
                 Pj.on_mor(dri(a, c, a2), C.identity(Pi.on_obj(b, d))),
                 C.compose(dlj(Pi.on_obj(a, c), Pi.on_obj(a, a2), Pi.on_obj(b, d)),
                           C.sum_mor(eta(a, b, c, d), eta(a, b, a2, d))))
-            rhs = C.compose(
+            rhs = lambda: C.compose(
                 eta(a, b, C.sum_obj(c, a2), d),
                 C.compose(Pi.on_mor(C.identity(Pj.on_obj(a, b)), dlj(c, a2, d)),
                           dri(Pj.on_obj(a, b), Pj.on_obj(c, d), Pj.on_obj(a2, d))))
-            report.expect("exchange-factorization", lhs, rhs,
-                          ("third", i, j, a, b, c, a2, d))
-            lhs = C.compose(
+            report.evaluate("exchange-factorization", lhs, rhs,
+                            ("third", i, j, a, b, c, a2, d))
+            lhs = lambda: C.compose(
                 Pj.on_mor(C.identity(Pi.on_obj(a, c)), dri(b, d, a2)),
                 C.compose(drj(Pi.on_obj(a, c), Pi.on_obj(b, d), Pi.on_obj(b, a2)),
                           C.sum_mor(eta(a, b, c, d), eta(a, b, c, a2))))
-            rhs = C.compose(
+            rhs = lambda: C.compose(
                 eta(a, b, c, C.sum_obj(d, a2)),
                 C.compose(Pi.on_mor(C.identity(Pj.on_obj(a, b)), drj(c, d, a2)),
                           dri(Pj.on_obj(a, b), Pj.on_obj(c, d), Pj.on_obj(c, a2))))
-            report.expect("exchange-factorization", lhs, rhs,
-                          ("fourth", i, j, a, b, c, d, a2))
+            report.evaluate("exchange-factorization", lhs, rhs,
+                            ("fourth", i, j, a, b, c, d, a2))
     report.metadata["tight"] = tight
     return report

@@ -4,6 +4,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -132,18 +134,58 @@ class TestExitCodes:
         assert code == 2
         assert "duplicate key '0'" in err
 
-    @pytest.mark.parametrize("field, value, exception", [
-        ("max_arity", "three", "ValueError"),
-        ("inputs", 7, "TypeError"),
-    ])
-    def test_field_of_wrong_type(self, capsys, tmp_path, field, value, exception):
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_arity", "three", "max_arity must be an integer >= 0, not 'three'"),
+        ("max_arity", "3", "max_arity must be an integer >= 0, not '3'"),
+        ("max_arity", True, "max_arity must be an integer >= 0, not True"),
+        ("max_arity", -1, "max_arity must be an integer >= 0, not -1"),
+        ("inputs", 7, "operation references unknown object list 7"),
+    ], ids=["max_arity-three", "max_arity-string", "max_arity-bool", "max_arity-negative",
+            "inputs-7"])
+    def test_field_of_wrong_type(self, capsys, tmp_path, field, value, message):
         payload = json.loads((DOCS / "mterm3.json").read_text(encoding="utf-8"))
         (payload["operations"][0] if field == "inputs" else payload)[field] = value
         path = tmp_path / "mterm3-malformed.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         code, out, err = run(capsys, ["validate", str(path)])
         assert code == 2
-        assert f"malformed document: {exception}" in err
+        assert message in err
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("sign-3fold.json", ("products", 2, "morphisms", 7, "result"), -1,
+         "products[2]: morphisms: product morphism row references unknown morphism -1"),
+        ("sign-braided.json", ("braiding", 0, "morphism"), "zz",
+         "braiding: component row references unknown morphism 'zz'"),
+        ("sign-3fold.json", ("exchanges", 0), None,
+         "exchanges: not total: no exchange row for (1, 2, '0', '0', '0', '0')"),
+        ("sign-3fold.json", ("exchanges", 0, "i"), 7,
+         "exchanges: exchange row references unknown product 7"),
+        ("sign-e2.json", ("left_factorizations", 0, 0), None,
+         "left_factorizations[0]: not total: no component row for ('0', '0', '0')"),
+        ("sign-3fold.json", ("products", 2), None,
+         "exchanges: exchange row references unknown product 3"),
+        ("sign-e2.json", ("products", 1), None,
+         "left_factorizations: 2 tables for 1 products"),
+        ("sign-e2.json", ("exchanges", 0, "j"), 1,
+         "exchanges: exchange row (1, 1, '0', '0', '0', '0') lies outside the "
+         "table's domain"),
+    ], ids=["product-result", "braiding-morphism", "exchange-missing", "exchange-index",
+            "factorization-missing", "product-missing", "factorizations-per-product",
+            "exchange-pair"])
+    def test_ring_family_reference_is_input_error(self, capsys, tmp_path, name, path,
+                                                  value, message):
+        # these rows reached the validators unresolved and crashed them (exit 3)
+        payload = json.loads((DOCS / name).read_text(encoding="utf-8"))
+        parent = reduce(getitem, path[:-1], payload)
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        broken = tmp_path / name
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(broken)])
+        assert code == 2, err
+        assert message in err
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(args):

@@ -1,4 +1,6 @@
 """Document parsing, canonical serialization, and round trips."""
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -6,7 +8,10 @@ from functools import reduce
 from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permcat.cli import run_command
 from permcat.documents import (
     DocumentError,
     dumps,
@@ -103,12 +108,56 @@ class TestErrors:
         ("identity-functor.json", ("monoidal_constraint",), "component row"),
         ("identity-multinat.json", ("source", "monoidal_constraint"),
          "component row"),
+        ("sign.json", ("objects",), "object"),
+        ("mterm3.json", ("objects",), "object"),
+        ("sign-ring.json", ("additive", "objects"), "object"),
+        ("sign-e2.json", ("products", 1, "objects"), "product object row"),
     ])
     def test_duplicate_row_rejected_in_every_table(self, name, path, duplicate):
         payload = json.loads((DOCS / name).read_text())
         rows = reduce(getitem, path, payload)
-        rows.insert(1, dict(rows[0]))
+        rows.insert(1, rows[0])
         with pytest.raises(DocumentError, match=f"duplicate {duplicate} [(']"):
+            parse_document(dumps(payload))
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("mterm3.json", ("colour",), "red", "multicat document: undeclared field 'colour'"),
+        ("sign-ring.json", ("product", "colour"), "red",
+         "ring document: product: undeclared field 'colour'"),
+        ("sign.json", ("composition", 0, "colour"), "red",
+         "composition row {'after': '0:+', 'before': '0:+', 'colour': 'red', "
+         "'result': '0:+'} must have exactly the fields"),
+        ("identity-functor.json", ("flag",), {"strict": True},
+         "undeclared field 'flag'"),
+        ("identity-functor.json", ("flags", "stict"), True, "flags: undeclared field 'stict'"),
+        ("identity-functor.json", ("flags", "strict"), 1, "flag 'strict' must be a boolean"),
+        ("identity-functor.json", ("name",), "P", "undeclared field 'name'"),
+        ("sign.json", ("unit",), None, "missing field 'unit'"),
+        ("sign-ring.json", ("additive", "version"), 2, "additive: version must be 1, not 2"),
+        ("identity-multinat.json", ("source", "kind"), "permcat",
+         "source: kind must be 'functor', not 'permcat'"),
+        ("mterm3.json", ("units", "ghost"), "i1", "unit row references unknown object 'ghost'"),
+        ("sign.json", ("unit",), "2", "unit references unknown object '2'"),
+        ("identity-functor.json", ("object_map", "0"), "7",
+         "object map row references unknown target object '7'"),
+        ("identity-functor.json", ("unit_constraint",), ["0:+"],
+         "unit_constraint references unknown target morphism ['0:+']"),
+        ("swap-operad.json", ("sigma", 0, "perm"), [1, 1],
+         "sigma row references unknown permutation (1, 1)"),
+        ("swap-operad.json", ("sigma", 0, "perm"), [1, 2, 3],
+         "sigma row references unknown permutation (1, 2, 3)"),
+        ("swap-operad.json", ("objects", 0), 5, "object id must be a string, not 5"),
+        ("sign-e2.json", ("products",), {}, "products must be a JSON list, not dict"),
+    ])
+    def test_malformed_document_rejected(self, name, path, value, message):
+        # a value of None deletes the field
+        payload = json.loads((DOCS / name).read_text())
+        parent = reduce(getitem, path[:-1], payload)
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(DocumentError, match=re.escape(message)):
             parse_document(dumps(payload))
 
     @pytest.mark.parametrize("name, path", [
@@ -174,3 +223,72 @@ class TestDeterminism:
         once = serialize(kind, structure)
         kind2, again = parse_document(once)
         assert serialize(kind2, again) == once
+
+
+VALIDATED_KINDS = {"multicat", "permcat", "ring", "biperm", "braided", "nfold", "en"}
+
+
+def _sites(node, path=()):
+    """``("leaf", path)`` for every scalar of a JSON value and ``("row",
+    path)`` for every element of a list in it."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _sites(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield "row", path + (i,)
+            yield from _sites(value, path + (i,))
+    else:
+        yield "leaf", path
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A shipped document with one corruption: a leaf replaced by another
+    id of the same document, an unknown string, an int, ``null`` or a
+    list; or a row deleted or duplicated."""
+    name = draw(st.sampled_from(sorted(p.name for p in DOCS.glob("*.json"))))
+    payload = json.loads((DOCS / name).read_text(encoding="utf-8"))
+    kind = payload["kind"]
+    sites = list(_sites(payload))
+    how = draw(st.sampled_from(["id", "unknown", "int", "null", "list", "delete",
+                                "duplicate"]))
+    if how in ("delete", "duplicate"):
+        path = draw(st.sampled_from([path for site, path in sites if site == "row"]))
+        rows = reduce(getitem, path[:-1], payload)
+        if how == "delete":
+            del rows[path[-1]]
+        else:
+            rows.insert(path[-1], json.loads(json.dumps(rows[path[-1]])))
+    else:
+        path = draw(st.sampled_from([path for site, path in sites if site == "leaf"]))
+        ids = sorted({reduce(getitem, p, payload) for site, p in sites if site == "leaf"
+                      and isinstance(reduce(getitem, p, payload), str)})
+        value = {"id": lambda: draw(st.sampled_from(ids)), "unknown": lambda: "ghost",
+                 "int": lambda: draw(st.sampled_from([-1, 0, 1, 7])),
+                 "null": lambda: None, "list": lambda: []}[how]()
+        reduce(getitem, path[:-1], payload)[path[-1]] = value
+    return kind, dumps(payload)
+
+
+class TestCorruptions:
+    @settings(derandomize=True, deadline=None, max_examples=1200)
+    @given(corrupted_documents())
+    def test_one_corruption_is_never_an_internal_error(self, tmp_path_factory, case):
+        # exit 1 is a verdict on a parsed structure, so it needs a clean parse;
+        # exit 3 would be a defect of permcat
+        kind, text = case
+        if kind not in VALIDATED_KINDS:
+            try:
+                parse_document(text)
+            except DocumentError:
+                pass
+            return
+        path = tmp_path_factory.getbasetemp() / "corrupted.json"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_command(["validate", str(path)])
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:
+            parse_document(text)
