@@ -259,7 +259,7 @@ def _read_table(spec: Table, rows, scope: dict, where: str) -> dict:
                 and sum(map(len, rows)) == len(names) * len(rows)
         ok = ok and (not spec.total
                      or table.keys() == (scope.get(spec.keys) or _domain(spec, scope)))
-        for space, of_values, get in spec.checks:
+        for space, of_values, get in spec.checks if ok else ():
             cells = table.values() if of_values else table
             cells = cells if get is None else map(get, cells)
             ok = ok and (all(map(scope[space].__contains__, cells)) if space in PLAIN

@@ -148,6 +148,8 @@ class TestErrors:
          "sigma row references unknown permutation (1, 2, 3)"),
         ("swap-operad.json", ("objects", 0), 5, "object id must be a string, not 5"),
         ("sign-e2.json", ("products",), {}, "products must be a JSON list, not dict"),
+        ("mterm3.json", ("units",), [], "units must be a JSON dict, not list"),
+        ("identity-functor.json", ("object_map",), "0", "object_map must be a JSON dict"),
     ])
     def test_malformed_document_rejected(self, name, path, value, message):
         # a value of None deletes the field
