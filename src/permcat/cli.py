@@ -9,16 +9,15 @@ JSON; the summary on stdout is deterministic.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
 from .documents import DocumentError, dumps, parse_document
 from .endo import basepoint_check, endo_multicat
 from .errors import BoundExceededError, MalformedStructureError
-from .free import FreePermCat, free_hom, free_on_multifunctor
-from .multicat import Multifunctor, identity_multifunctor, terminal_multicat, validate_multicat
-from .permcats import validate_nlinear, validate_permcat
+from .free import FreePermCat, free_hom
+from .multicat import validate_multicat
+from .permcats import validate_permcat
 from .perms import Profile
 from .reports import CheckReport
 from .rings import (
@@ -28,24 +27,8 @@ from .rings import (
     validate_nfold_monoidal,
     validate_ring_category,
 )
-from .permcats import identity_smf
-from .tensor import (
-    s_constraint_map,
-    s_functor,
-    s_morphism,
-    s_object,
-    tensor_grid,
-    tensor_of_multifunctors,
-)
-from .transforms import (
-    check_epsilon_square_strict,
-    check_eta_multifunctor,
-    check_eta_square,
-    check_rho_mark_square,
-    check_triangles,
-    epsilon_counterexample,
-    mark_category,
-)
+from .tensor import check_s_suite, s_constraint_map, s_object
+from .transforms import check_adjunction_suite
 
 RING_VALIDATORS = {
     "ring": validate_ring_category,
@@ -184,51 +167,7 @@ def cmd_tensor_s(args) -> int:
 
 def cmd_check_s(args) -> int:
     Ms = _load_factors(args.documents)
-    report = CheckReport("comparison-functor-suite")
-    S = s_functor(Ms)
-    frees = [FreePermCat(M, partial_homs=True) for M in Ms]
-    windows = [F.enumerate_objects(args.max_len) for F in frees]
-    homs = [{(a, b): F.hom(a, b) for a in w for b in w}
-            for F, w in zip(frees, windows)]
-
-    target = FreePermCat(tensor_grid(Ms))
-    for xs in itertools.product(*windows):
-        ids = tuple(F.identity(x) for F, x in zip(frees, xs))
-        report.expect("preserves-identities",
-                      S.on_mor(ids), target.identity(S.on_obj(xs)), ("id", xs))
-    mor_lists = [[m for pair, ms in h.items() for m in ms] for h in homs]
-    for fs in itertools.product(*mor_lists):
-        for gs in itertools.product(*mor_lists):
-            if any(g.source != f.target for f, g in zip(fs, gs)):
-                continue
-            report.evaluate("preserves-composition",
-                            lambda: S.on_mor(tuple(F.compose(g, f)
-                                                   for F, f, g in zip(frees, fs, gs))),
-                            lambda: target.compose(S.on_mor(gs), S.on_mor(fs)),
-                            (fs, gs))
-    report.absorb(validate_nlinear(S, objects=windows))
-
-    bound = max((M.max_arity or 2) for M in Ms)
-    collapse_target = terminal_multicat(max(bound * len(Ms), 4))
-    for label, Hs in [
-            ("identities", tuple(identity_multifunctor(M) for M in Ms)),
-            ("collapses", tuple(
-                Multifunctor(M, collapse_target, lambda c: "*",
-                             lambda op, M=M: f"i{len(M.profile_of(op))}")
-                for M in Ms))]:
-        tensor_H = tensor_of_multifunctors(Hs)
-        F_tensor = free_on_multifunctor(tensor_H)
-        FHs = [free_on_multifunctor(H) for H in Hs]
-        Ns = tuple(H.target for H in Hs)
-        for xs in itertools.product(*(w[:6] for w in windows)):
-            lhs = s_object(Ns, tuple(FH.on_obj(x) for FH, x in zip(FHs, xs)))
-            rhs = tuple(tensor_H.on_obj(c) for c in s_object(Ms, xs))
-            report.expect("two-naturality", lhs, rhs, (label, xs))
-        for fs in itertools.product(*(ms[:8] for ms in mor_lists)):
-            lhs = s_morphism(Ns, tuple(FH.on_mor(f) for FH, f in zip(FHs, fs)))
-            rhs = F_tensor.on_mor(s_morphism(Ms, fs))
-            report.expect("two-naturality", lhs, rhs, (label, fs))
-    return _emit(report, args.report)
+    return _emit(check_s_suite(Ms, args.max_len), args.report)
 
 
 def cmd_check_adjunction(args) -> int:
@@ -238,19 +177,7 @@ def cmd_check_adjunction(args) -> int:
     kind_c, C = _read(args.permcat)
     if kind_c != "permcat":
         raise DocumentError("check-adjunction needs a permcat document second")
-    report = check_eta_multifunctor(M, args.max_arity)
-    report.structure = "adjunction-fragment-suite"
-    grid = tensor_grid((M, M))
-    bound = (M.max_arity or args.max_arity) * 2
-    H = Multifunctor(grid, terminal_multicat(max(bound, 4)), lambda c: "*",
-                     lambda op: f"i{grid.arity_of(op)}")
-    report.absorb(check_eta_square(H, (M, M), max_arity=min(args.max_arity, 2)))
-    report.absorb(check_triangles(M, C, max_len=args.max_len, max_arity=args.max_arity))
-    report.expect("witness-found", epsilon_counterexample().commutes, False,
-                  "bilinear sign fixture")
-    report.absorb(check_epsilon_square_strict())
-    report.absorb(validate_permcat(mark_category(C).category))
-    report.absorb(check_rho_mark_square(identity_smf(C)))
+    report = check_adjunction_suite(M, C, args.max_len, args.max_arity)
     return _emit(report, args.report)
 
 

@@ -12,9 +12,10 @@ structure itself (composable pairs, sigma, gamma).
 Parsing is total-or-error: a document yields a fully resolved structure
 with total tables for its declared bounds, or a :class:`DocumentError`
 naming the problem (syntax with position, an undeclared or missing field,
-a repeated id, key or row, an unresolved reference, or a missing table
-entry).  Serialization sorts keys and canonically orders every list so
-identical structures produce byte-identical documents.
+a repeated id, key or row, an unresolved reference, a missing table entry,
+or a row outside its table's domain).  Serialization sorts keys and
+canonically orders every list so identical structures produce
+byte-identical documents.
 """
 from __future__ import annotations
 
@@ -299,12 +300,15 @@ def _reject(spec: Table, rows, scope: dict, where: str):
     domain = _domain(spec, scope)  # only a total table gets this far
     for key in seen:
         if key not in domain:
-            raise DocumentError(f"{where}: {spec.noun} {key!r} lies outside "
-                                f"the table's domain")
+            raise _outside_domain(where, spec.noun, key)
     spaces = [scope[space] for _, space in spec.keys]
     for key in itertools.product(*spaces) if len(spaces) > 1 else spaces[0]:
         if key in domain and key not in seen:
             raise DocumentError(f"{where}: not total: no {spec.noun} for {key!r}")
+
+
+def _outside_domain(where: str, noun: str, key) -> DocumentError:
+    return DocumentError(f"{where}: {noun} {key!r} lies outside the table's domain")
 
 
 def _read_tables(payload: dict, tables: tuple, scope: dict, context: str) -> list:
@@ -396,11 +400,17 @@ def _read_multicat(payload, context: str) -> FinMulticat:
                     raise DocumentError(f"{context}: sigma table not total: "
                                         f"missing ({op!r}, {perm.images})")
     by_output = _by_output((out, profile, op) for op, (out, profile) in operations.items())
+    domain = 0
     for op, (out, profile) in operations.items():
         for inners in _inner_tuples(by_output, profile, max_arity) if profile else ():
             if (op, inners) not in gamma:
                 raise DocumentError(f"{context}: gamma table not total: "
                                     f"missing ({op!r}, {inners!r})")
+            domain += 1
+    if domain != len(gamma):  # a row for inners that do not compose within the bound
+        raise _outside_domain(f"{context}: gamma", "gamma row", next(
+            (op, inners) for op, inners in gamma if not operations[op][1]
+            or inners not in _inner_tuples(by_output, operations[op][1], max_arity)))
     return FinMulticat(_name(p, "multicat", context), tuple(objects), max_arity,
                        operations, units, sigma, gamma)
 
@@ -415,7 +425,7 @@ def _read_permcat(payload, context: str) -> FinPermCat:
     scope = {}
     objects, morphisms, identities, composition, sums, mor_sums, symmetries = \
         _read_tables(p, PERMCAT, scope, context)
-    after = {}
+    after, domain = {}, 0
     for g, (src, _) in morphisms.items():
         after.setdefault(src, []).append(g)
     for f, (_, tgt) in morphisms.items():
@@ -423,6 +433,10 @@ def _read_permcat(payload, context: str) -> FinPermCat:
             if (g, f) not in composition:
                 raise DocumentError(f"{context}: composition table not total: "
                                     f"missing ({g!r}, {f!r})")
+        domain += len(after.get(tgt, ()))
+    if domain != len(composition):  # a row for a pair that does not compose
+        raise _outside_domain(f"{context}: composition", "composition row", next(
+            (g, f) for g, f in composition if morphisms[g][0] != morphisms[f][1]))
     return FinPermCat(_name(p, "permcat", context), tuple(objects),
                       {f: src for f, (src, _) in morphisms.items()},
                       {f: tgt for f, (_, tgt) in morphisms.items()},

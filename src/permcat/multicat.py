@@ -32,7 +32,7 @@ from .perms import (
     perm_compose,
     profiles,
 )
-from .reports import CheckReport
+from .reports import CheckReport, memo
 
 
 class Multicat:
@@ -448,9 +448,8 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     witnessed ``ill-typed``.
 
     Each distinct ``(outer, inners)`` composite is evaluated once per call
-    and shared by every instance that needs it.  Only values are kept: a
-    composite that raises is evaluated, and raises, again for each
-    instance, so every such instance is unknown or ill-typed on its own.
+    and shared by every instance that needs it (:func:`reports.memo`: a
+    composite that raises raises again for each instance).
     """
     A = max_arity if max_arity is not None else M.max_arity
     if A is None:
@@ -460,15 +459,7 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     entries = _op_entries(M, objs, A)
     by_output = _by_output(entries)
     arity = {op: len(profile) for _, profile, op in entries}
-    composites = {}
-    missing = object()
-
-    def compose(outer, inners):
-        key = (outer, inners)
-        result = composites.get(key, missing)
-        if result is missing:
-            result = composites[key] = M.compose(outer, inners)
-        return result
+    compose = memo(M.compose)
 
     for c in objs:
         u = M.unit(c)

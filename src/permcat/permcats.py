@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import BoundExceededError, ComposabilityError, MalformedStructureError
 from .perms import Permutation, Profile, perm_act
-from .reports import CheckReport, once
+from .reports import CheckReport, memo
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def validate_permcat(C, objects: Sequence | None = None,
         for g in mors:
             if C.src(g) != C.tgt(f):
                 continue
-            gf = once(lambda: C.compose(g, f))
+            gf = memo(lambda: C.compose(g, f))
             for h in mors:
                 if C.src(h) != C.tgt(g):
                     continue
@@ -189,7 +189,7 @@ def validate_permcat(C, objects: Sequence | None = None,
         for f2 in heavy:
             if C.src(f2) != C.tgt(f):
                 continue
-            f2f = once(lambda: C.compose(f2, f))
+            f2f = memo(lambda: C.compose(f2, f))
             for g2 in heavy:
                 if C.src(g2) != C.tgt(g):
                     continue

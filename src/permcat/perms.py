@@ -185,11 +185,6 @@ class FinMap:
         """
         return self.fibers[j - 1] if 1 <= j <= self.codomain else ()
 
-    def as_permutation(self) -> Permutation:
-        if self.domain != self.codomain:
-            raise DegreeMismatchError("not an endo-map")
-        return Permutation(self.images)
-
 
 def identity_map(r: int) -> FinMap:
     return FinMap(r, r, tuple(range(1, r + 1)))

@@ -37,24 +37,21 @@ def render(value) -> str:
     return repr(value)
 
 
-def once(thunk):
-    """``thunk`` evaluated at most once; later calls return its value or
-    re-raise its out-of-bound or ill-typed error.  For an intermediate
-    shared by several instances, each of which then reports its outcome."""
-    outcome = []
+def memo(fn):
+    """``fn`` with its values kept by argument tuple, for a composite or an
+    intermediate shared by several instances.  Only values are kept: a call
+    that raises is made, and raises, again for each instance that needs it,
+    so each such instance is unknown or ill-typed on its own."""
+    values = {}
+    missing = object()
 
-    def shared():
-        if not outcome:
-            try:
-                outcome.append((True, thunk()))
-            except UNKNOWN + ILL_TYPED as exc:
-                outcome.append((False, exc))
-        ok, value = outcome[0]
-        if ok:
-            return value
-        raise value.with_traceback(None)
+    def cached(*args):
+        value = values.get(args, missing)
+        if value is missing:
+            value = values[args] = fn(*args)
+        return value
 
-    return shared
+    return cached
 
 
 @dataclass

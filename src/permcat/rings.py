@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import MalformedStructureError
-from .permcats import FinPermCat, validate_permcat
+from .permcats import FinPermCat, _is_invertible, validate_permcat
 from .reports import CheckReport
 
 
@@ -248,7 +248,6 @@ def validate_ring_category(R: RingCatData) -> CheckReport:
                                   C.compose(C.sum_mor(dl(a, a2, b), dl(a, a2, b2)), shuffle))
         report.evaluate("2x2-factorization", path1, path2, (a, a2, b, b2))
 
-    from .permcats import _is_invertible
     tight = True
     for a, b, c in itertools.product(objs, repeat=3):
         if _is_invertible(C, dl(a, b, c)) is False or \
@@ -261,9 +260,7 @@ def validate_ring_category(R: RingCatData) -> CheckReport:
 def _mult_as_permcat(R: RingCatData, symmetry: Mapping) -> FinPermCat:
     C, P = R.additive, R.product
     return FinPermCat(f"{R.name}-multiplicative", C.objects, C.mor_src, C.mor_tgt,
-                      C.identities, C.composition, P.unit,
-                      {k: v for k, v in P.obj_table.items()},
-                      {k: v for k, v in P.mor_table.items()},
+                      C.identities, C.composition, P.unit, P.obj_table, P.mor_table,
                       symmetry)
 
 
@@ -308,7 +305,6 @@ def validate_braided_ring(B: BraidedRingData) -> CheckReport:
         report.expect("braiding-typing",
                       (C.src(bxy), C.tgt(bxy)),
                       (P.on_obj(x, y), P.on_obj(y, x)), (x, y))
-        from .permcats import _is_invertible
         report.expect("braiding-invertible",
                       bool(_is_invertible(C, bxy)), True, (x, y))
     for f, g in itertools.product(mors, repeat=2):

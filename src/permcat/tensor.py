@@ -12,8 +12,8 @@ general word problem.
 
 The comparison functor ``S`` from a product of free categories into the
 free category on the fragment lives here, together with its linearity
-constraints and the induced multilinear package of a multifunctor on a
-grid source.
+constraints, the induced multilinear package of a multifunctor on a
+grid source, and :func:`check_s_suite`, the coherence suite of ``S``.
 """
 from __future__ import annotations
 
@@ -22,9 +22,16 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ComposabilityError, UnsupportedFragmentError
-from .free import FreeMorphism, FreePermCat, free_identity
-from .multicat import Multicat, Multifunctor, MultiNat, initial_operad
-from .permcats import NLinearFunctor, NLinearNat
+from .free import FreeMorphism, FreePermCat, free_identity, free_on_multifunctor
+from .multicat import (
+    Multicat,
+    Multifunctor,
+    MultiNat,
+    identity_multifunctor,
+    initial_operad,
+    terminal_multicat,
+)
+from .permcats import NLinearFunctor, NLinearNat, validate_nlinear
 from .perms import (
     FinMap,
     Permutation,
@@ -45,6 +52,7 @@ from .perms import (
     sigma_kgf,
     terminal_map,
 )
+from .reports import CheckReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,3 +513,53 @@ def f_multi_nat(theta: MultiNat, Ms: tuple) -> NLinearNat:
                             tuple(theta.at(cell) for cell in cells))
 
     return NLinearNat(P, Q, component)
+
+
+def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
+    """The coherence suite of ``S`` on the factors ``Ms``: functoriality and
+    strong multilinearity over the length-``max_len`` windows, then
+    naturality against identity and collapse multifunctors."""
+    report = CheckReport("comparison-functor-suite")
+    S = s_functor(Ms)
+    frees = [FreePermCat(M, partial_homs=True) for M in Ms]
+    windows = [F.enumerate_objects(max_len) for F in frees]
+    mor_lists = [[m for a in w for b in w for m in F.hom(a, b)]
+                 for F, w in zip(frees, windows)]
+
+    target = FreePermCat(tensor_grid(Ms))
+    for xs in itertools.product(*windows):
+        ids = tuple(F.identity(x) for F, x in zip(frees, xs))
+        report.expect("preserves-identities",
+                      S.on_mor(ids), target.identity(S.on_obj(xs)), ("id", xs))
+    for fs in itertools.product(*mor_lists):
+        for gs in itertools.product(*mor_lists):
+            if any(g.source != f.target for f, g in zip(fs, gs)):
+                continue
+            report.evaluate("preserves-composition",
+                            lambda: S.on_mor(tuple(F.compose(g, f)
+                                                   for F, f, g in zip(frees, fs, gs))),
+                            lambda: target.compose(S.on_mor(gs), S.on_mor(fs)),
+                            (fs, gs))
+    report.absorb(validate_nlinear(S, objects=windows))
+
+    bound = max((M.max_arity or 2) for M in Ms)
+    collapse_target = terminal_multicat(max(bound * len(Ms), 4))
+    for label, Hs in [
+            ("identities", tuple(identity_multifunctor(M) for M in Ms)),
+            ("collapses", tuple(
+                Multifunctor(M, collapse_target, lambda c: "*",
+                             lambda op, M=M: f"i{len(M.profile_of(op))}")
+                for M in Ms))]:
+        tensor_H = tensor_of_multifunctors(Hs)
+        F_tensor = free_on_multifunctor(tensor_H)
+        FHs = [free_on_multifunctor(H) for H in Hs]
+        Ns = tuple(H.target for H in Hs)
+        for xs in itertools.product(*(w[:6] for w in windows)):
+            lhs = s_object(Ns, tuple(FH.on_obj(x) for FH, x in zip(FHs, xs)))
+            rhs = tuple(tensor_H.on_obj(c) for c in s_object(Ms, xs))
+            report.expect("two-naturality", lhs, rhs, (label, xs))
+        for fs in itertools.product(*(ms[:8] for ms in mor_lists)):
+            lhs = s_morphism(Ns, tuple(FH.on_mor(f) for FH, f in zip(FHs, fs)))
+            rhs = F_tensor.on_mor(s_morphism(Ms, fs))
+            report.expect("two-naturality", lhs, rhs, (label, fs))
+    return report

@@ -7,6 +7,7 @@ to the underlying category, sorting inputs into fiber order first.  Their
 triangle identities hold on the nose and are checked exhaustively at desk
 scale; the non-naturality of the counit against a bilinear functor with a
 nonidentity linearity constraint is realized as a concrete finite witness.
+:func:`check_adjunction_suite` runs all of these checks as one suite.
 """
 from __future__ import annotations
 
@@ -16,14 +17,16 @@ from dataclasses import dataclass
 from .endo import EndoOp, endo_action, endo_multicat, endo_on_functor
 from .fixtures import NEG, POS, sign_multiplication
 from .free import FreeMorphism, FreePermCat, free_on_multifunctor
-from .multicat import Multicat, Multifunctor, validate_multifunctor
+from .multicat import Multicat, Multifunctor, terminal_multicat, validate_multifunctor
 from .permcats import (
     FinPermCat,
     NLinearFunctor,
     SymMonFunctor,
+    identity_smf,
     perm_to_morphism,
     sum_mors,
     sum_objs,
+    validate_permcat,
 )
 from .perms import (
     FinMap,
@@ -92,10 +95,6 @@ def epsilon(C) -> SymMonFunctor:
 
     return SymMonFunctor(FE, C, on_obj, on_mor, None, None,
                          strict=True, strictly_unital=True, strong=True)
-
-
-def check_eta_multifunctor(M: Multicat, max_arity: int) -> CheckReport:
-    return validate_multifunctor(eta(M), max_arity=max_arity)
 
 
 def check_eta_square(H: Multifunctor, Ms: tuple, max_arity: int = 2) -> CheckReport:
@@ -445,4 +444,24 @@ def check_rho_mark_square(P: SymMonFunctor) -> CheckReport:
         report.expect("collapse-square-morphisms",
                       mD.collapse.on_mor(lift.on_mor(f)),
                       P.on_mor(mC.collapse.on_mor(f)), ("morphism", f))
+    return report
+
+
+def check_adjunction_suite(M: Multicat, C: FinPermCat, max_len: int,
+                           max_arity: int) -> CheckReport:
+    """The unit and its square on ``M (x) M``, both triangles on ``M`` and
+    ``C``, the counit witness and anti-witness, and the marking of ``C``."""
+    report = validate_multifunctor(eta(M), max_arity=max_arity)
+    report.structure = "adjunction-fragment-suite"
+    grid = tensor_grid((M, M))
+    bound = (M.max_arity or max_arity) * 2
+    H = Multifunctor(grid, terminal_multicat(max(bound, 4)), lambda c: "*",
+                     lambda op: f"i{grid.arity_of(op)}")
+    report.absorb(check_eta_square(H, (M, M), max_arity=min(max_arity, 2)))
+    report.absorb(check_triangles(M, C, max_len=max_len, max_arity=max_arity))
+    report.expect("witness-found", epsilon_counterexample().commutes, False,
+                  "bilinear sign fixture")
+    report.absorb(check_epsilon_square_strict())
+    report.absorb(validate_permcat(mark_category(C).category))
+    report.absorb(check_rho_mark_square(identity_smf(C)))
     return report

@@ -66,23 +66,14 @@ from permcat.rings import (
 )
 from permcat.tensor import (
     braid_multifunctor,
+    check_s_suite,
     f_multi,
-    s_functor,
     s_morphism,
     s_object,
     tensor_grid,
-    tensor_of_multifunctors,
     tensor_op,
 )
-from permcat.transforms import (
-    check_epsilon_square_strict,
-    check_eta_square,
-    check_rho_mark_square,
-    check_triangles,
-    epsilon_counterexample,
-    eta,
-    mark_category,
-)
+from permcat.transforms import check_adjunction_suite, check_rho_mark_square, mark_category
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -97,6 +88,15 @@ MTERM2 = terminal_multicat(2)
 def verdict(n, label, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {label}")
     assert ok, f"criterion {n} failed: {label}"
+
+
+def suite_verdict(n, label, report, ok=True):
+    """:func:`verdict` on a suite report: it passes and checks at least one
+    instance of every axiom; otherwise its summary shows the witnesses."""
+    ok = ok and report.passed and all(c.instances for c in report.checks)
+    if not ok:
+        print(report.summary())
+    verdict(n, label, ok)
 
 
 def star(k):
@@ -392,55 +392,9 @@ def test_criterion_3_composition_coherence():
 # ----------------------------------------------------------- criterion 4
 
 def test_criterion_4_s_suite():
-    ok = True
-    Ms = (MTERM2, MTERM2)
-    F1 = FreePermCat(MTERM2, partial_homs=True)
-    FT = FreePermCat(tensor_grid(Ms))
-    objs = list(profiles(("*",), 2))
-    homs = {(a, b): F1.hom(a, b) for a in objs for b in objs}
-    mors = [m for pair in homs.values() for m in pair]
-    for xs in itertools.product(objs, repeat=2):
-        ids = tuple(F1.identity(x) for x in xs)
-        ok = ok and s_morphism(Ms, ids) == FT.identity(s_object(Ms, xs))
-    for f1, f2 in itertools.product(mors, repeat=2):
-        for g1, g2 in itertools.product(mors, repeat=2):
-            if g1.source != f1.target or g2.source != f2.target:
-                continue
-            lhs = s_morphism(Ms, (F1.compose(g1, f1), F1.compose(g2, f2)))
-            rhs = FT.compose(s_morphism(Ms, (g1, g2)), s_morphism(Ms, (f1, f2)))
-            ok = ok and lhs == rhs
-
-    S = s_functor((MTERM2, TWO))
-    windows = [S.sources[0].enumerate_objects(2), S.sources[1].enumerate_objects(2)]
-    report = validate_nlinear(S, objects=windows)
-    ok = ok and report.passed and report.metadata["classification"] == "strong"
-
-    def collapse(M):
-        return Multifunctor(M, MTERM2, lambda c: "*",
-                            lambda op: f"i{len(M.profile_of(op))}")
-
-    for H1, H2 in [(identity_multifunctor(TWO), identity_multifunctor(SIGNS2)),
-                   (collapse(TWO), collapse(SIGNS2))]:
-        pair = (H1.source, H2.source)
-        targets = (H1.target, H2.target)
-        tensor_H = tensor_of_multifunctors((H1, H2))
-        FH1, FH2 = free_on_multifunctor(H1), free_on_multifunctor(H2)
-        F_tensor = free_on_multifunctor(tensor_H)
-        w1 = FreePermCat(pair[0], partial_homs=True).enumerate_objects(2)
-        w2 = FreePermCat(pair[1], partial_homs=True).enumerate_objects(2)
-        for x1, x2 in itertools.product(w1[:5], w2[:5]):
-            lhs = s_object(targets, (FH1.on_obj(x1), FH2.on_obj(x2)))
-            rhs = tuple(tensor_H.on_obj(c) for c in s_object(pair, (x1, x2)))
-            ok = ok and lhs == rhs
-        F1p = FreePermCat(pair[0], partial_homs=True)
-        F2p = FreePermCat(pair[1], partial_homs=True)
-        ms1 = [m for a in w1 for b in w1 for m in F1p.hom(a, b)][:10]
-        ms2 = [m for a in w2 for b in w2 for m in F2p.hom(a, b)][:10]
-        for m1, m2 in itertools.product(ms1, ms2):
-            lhs = s_morphism(targets, (FH1.on_mor(m1), FH2.on_mor(m2)))
-            rhs = F_tensor.on_mor(s_morphism(pair, (m1, m2)))
-            ok = ok and lhs == rhs
-    verdict(4, "comparison functor: functoriality, multilinearity, naturality", ok)
+    report = check_s_suite((MTERM2, TWO), 2)
+    suite_verdict(4, "comparison functor: functoriality, multilinearity, naturality",
+                  report, report.metadata["classification"] == "strong")
 
 
 # ----------------------------------------------------------- criterion 5
@@ -552,26 +506,8 @@ def test_criterion_5_cat_multifunctoriality():
 # ----------------------------------------------------------- criterion 6
 
 def test_criterion_6_adjunction_fragment():
-    ok = True
-    for M in (SIGNS2, TWO):
-        ok = ok and validate_multifunctor(eta(M), max_arity=3).passed
-
-    grid = tensor_grid((SIGNS2, TWO))
-    H = Multifunctor(grid, terminal_multicat(4), lambda c: "*",
-                     lambda op: f"i{grid.arity_of(op)}")
-    ok = ok and check_eta_square(H, (SIGNS2, TWO), max_arity=2).passed
-
-    triangles = check_triangles(TWO, BOOL, max_len=3, max_arity=3)
-    ok = ok and triangles.passed
-    triangles2 = check_triangles(terminal_multicat(3), Z3, max_len=3, max_arity=3)
-    ok = ok and triangles2.passed
-
-    witness = epsilon_counterexample()
-    ok = ok and not witness.commutes and witness.direct != witness.through_free
-    anti = check_epsilon_square_strict()
-    ok = ok and anti.passed
-    verdict(6, "unit validation, unit square, triangles, counit witness "
-               "in both directions", ok)
+    suite_verdict(6, "unit validation, unit square, triangles, counit witness "
+                     "in both directions", check_adjunction_suite(SIGNS2, Z3, 3, 3))
 
 
 # ----------------------------------------------------------- criterion 7

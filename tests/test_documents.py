@@ -150,13 +150,19 @@ class TestErrors:
         ("sign-e2.json", ("products",), {}, "products must be a JSON list, not dict"),
         ("mterm3.json", ("units",), [], "units must be a JSON dict, not list"),
         ("identity-functor.json", ("object_map",), "0", "object_map must be a JSON dict"),
+        ("two-object.json", ("gamma", 6), {"outer": "m", "inners": ["ub", "ua"], "result": "mT"},
+         "gamma: gamma row ('m', ('ub', 'ua')) lies outside the table's domain"),
+        ("sign.json", ("composition", 8), {"after": "0:+", "before": "1:+", "result": "0:-"},
+         "composition: composition row ('0:+', '1:+') lies outside the table's domain"),
     ])
     def test_malformed_document_rejected(self, name, path, value, message):
-        # a value of None deletes the field
+        # a value of None deletes the field; an index one past the end appends a row
         payload = json.loads((DOCS / name).read_text())
         parent = reduce(getitem, path[:-1], payload)
         if value is None:
             del parent[path[-1]]
+        elif type(parent) is list and path[-1] == len(parent):
+            parent.append(value)
         else:
             parent[path[-1]] = value
         with pytest.raises(DocumentError, match=re.escape(message)):

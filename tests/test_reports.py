@@ -15,7 +15,7 @@ from permcat.errors import (
 from permcat.fixtures import sign_permcat, swap_operad, two_object_multicat
 from permcat.multicat import terminal_multicat, validate_multicat
 from permcat.permcats import validate_permcat
-from permcat.reports import CheckReport, once
+from permcat.reports import CheckReport, memo
 from permcat.tensor import tensor_op
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "permcat"
@@ -76,20 +76,22 @@ class TestEvaluate:
                         lambda: tensor_op((swap, T), ("p", "ua")), ("w",))
         assert summary_of(report) == [("eq", 1, ["(ill-typed, w)"])]
 
-    def test_once_shares_value_and_exception(self):
+    def test_memo_shares_values_not_errors(self):
         calls = []
 
-        def compose():
-            calls.append(1)
+        def compose(*args):
+            calls.append(args)
+            if args:
+                return 7
             raise ComposabilityError("no")
 
-        shared = once(compose)
+        shared = memo(compose)
         report = CheckReport("r")
         for w in range(3):
             report.evaluate("ax", shared, lambda: 1, (w,))
-        assert len(calls) == 1
-        assert report.check("ax").instances == 3
-        assert once(lambda: 7)() == 7
+        assert summary_of(report) == [("ax", 3, [f"(ill-typed, {w})" for w in range(3)])]
+        assert [shared("g", "f") for _ in range(3)] == [7, 7, 7]
+        assert calls == [(), (), (), ("g", "f")]
 
 
 class TestAbsorb:
@@ -165,21 +167,40 @@ def _caught(handler: ast.ExceptHandler) -> set:
             for t in types if isinstance(t, (ast.Name, ast.Attribute))}
 
 
-def _guarded_handlers(node, function=None):
-    """(innermost enclosing function, line) of each handler catching GUARDED."""
+def _nodes(node, function=None):
+    """(innermost enclosing function, node) of every node below ``node``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.ExceptHandler) and _caught(child) & GUARDED:
-            yield function, child.lineno
+        yield function, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from _guarded_handlers(child, inner)
+        yield from _nodes(child, inner)
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_only_reports_decides_what_ill_typed_means():
     """No module but ``reports`` catches the ill-typed errors, apart from
     the CLI's top-level handler that maps them to exit code 2."""
-    offenders = [(path.name, function, line)
+    offenders = [(path.name, function, node.lineno)
                  for path in sorted(SRC.glob("*.py")) if path.name != "reports.py"
-                 for function, line in _guarded_handlers(
-                     ast.parse(path.read_text(encoding="utf-8")))]
+                 for function, node in _nodes(_tree(path))
+                 if isinstance(node, ast.ExceptHandler) and _caught(node) & GUARDED]
     assert [(name, function) for name, function, _ in offenders] == [("cli.py", "run_command")], \
         offenders
+
+
+def _callee(node):
+    """``f`` of a call ``f(...)`` or ``x.f(...)``; None for any other node."""
+    func = getattr(node, "func", None)
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_cli_builds_and_checks_no_report_itself():
+    """Each command reads, runs one suite or validator and emits its report:
+    the CLI makes no report and checks no instance, apart from adding the
+    basepoint check to ``endo``'s report."""
+    calls = [(function, _callee(node), _callee(node.args[0]) if node.args else None)
+             for function, node in _nodes(_tree(SRC / "cli.py"))
+             if _callee(node) in {"CheckReport", "expect", "evaluate", "absorb"}]
+    assert calls == [("cmd_endo", "absorb", "basepoint_check")], calls

@@ -171,10 +171,11 @@ class TestSFunctor:
         assert s_object((MTERM2, MTERM2), (star(2), star(3))) == (("*", "*"),) * 6
 
     def test_preserves_identities(self):
+        # every pair of lengths <= 2 over the arity-2 terminal fixture
         Ms = (MTERM2, MTERM2)
-        ids = (free_identity(MTERM2, star(2)), free_identity(MTERM2, star(2)))
-        image = s_morphism(Ms, ids)
-        assert image == free_identity(tensor_grid(Ms), s_object(Ms, (star(2), star(2))))
+        for xs in itertools.product(profiles(("*",), 2), repeat=2):
+            image = s_morphism(Ms, tuple(free_identity(MTERM2, x) for x in xs))
+            assert image == free_identity(tensor_grid(Ms), s_object(Ms, xs))
 
     def test_preserves_composition_exhaustively(self):
         # lengths <= 2 over the arity-2 terminal fixture in both slots
@@ -214,13 +215,6 @@ class TestSFunctor:
         c = s_constraint(Ms, 1, (("a",), star(2)), ("b",))
         assert c.source == (("a", "*"), ("a", "*"), ("b", "*"), ("b", "*"))
         assert c.target == (("a", "*"), ("b", "*"), ("a", "*"), ("b", "*"))
-
-    def test_validates_as_strong_bilinear(self):
-        S = s_functor((MTERM2, TWO))
-        windows = [S.sources[0].enumerate_objects(2), S.sources[1].enumerate_objects(2)]
-        report = validate_nlinear(S, objects=windows)
-        assert report.passed, report.summary()
-        assert report.metadata["classification"] == "strong"
 
     def test_single_factor_is_identity(self):
         S = s_functor((SIGNS2,))
