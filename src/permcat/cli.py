@@ -53,8 +53,20 @@ def _read(path: str):
         raise DocumentError(f"{path}: malformed document: {type(exc).__name__}: {exc}")
 
 
-def _profile(text: str) -> Profile:
-    return tuple(part for part in text.split(",") if part != "")
+def _profile(text: str, objects) -> Profile:
+    """A comma-separated profile whose every id is one of ``objects``."""
+    profile = tuple(part for part in text.split(",") if part != "")
+    for x in profile:
+        if x not in objects:
+            raise DocumentError(f"unknown object {x!r} in {text!r}")
+    return profile
+
+
+def _bound(text: str) -> int:
+    """An argparse type: an integer ``>= 0``."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
 
 
 def _emit(report: CheckReport, out_path: str | None) -> int:
@@ -85,7 +97,7 @@ def cmd_free(args) -> int:
         raise DocumentError("free needs a multicat document")
     F = FreePermCat(M, partial_homs=False)
     if args.hom:
-        src, tgt = (_profile(args.hom[0]), _profile(args.hom[1]))
+        src, tgt = (_profile(args.hom[0], M.objects), _profile(args.hom[1], M.objects))
         try:
             morphisms = free_hom(M, src, tgt)
         except BoundExceededError as exc:
@@ -117,7 +129,9 @@ def cmd_endo(args) -> int:
         raise DocumentError("endo needs a permcat document")
     E = endo_multicat(C)
     if args.ops:
-        target, profile = args.ops[0], _profile(args.ops[1])
+        target, profile = args.ops[0], _profile(args.ops[1], C.objects)
+        if _profile(target, C.objects) != (target,):
+            raise DocumentError(f"--ops TARGET must be one object, not {target!r}")
         ops = E.ops(target, profile)
         print(f"operations({target}; {','.join(profile) or '()'}): {len(ops)}")
         for op in ops:
@@ -144,18 +158,25 @@ def _load_factors(paths) -> tuple:
 
 def cmd_tensor_s(args) -> int:
     Ms = _load_factors(args.documents)
+    if args.constraint and not args.objects:
+        raise DocumentError("--constraint needs --objects")
     payload = {}
     if args.objects:
         if len(args.objects) != len(Ms):
             raise DocumentError("one --objects profile per factor document is needed")
-        xs = tuple(_profile(p) for p in args.objects)
+        xs = tuple(_profile(p, M.objects) for p, M in zip(args.objects, Ms))
+        if args.constraint:
+            factors = [str(b) for b in range(1, len(Ms) + 1)]
+            if args.constraint[0] not in factors:
+                raise DocumentError(f"--constraint B must be one of {', '.join(factors)}, "
+                                    f"not {args.constraint[0]!r}")
+            b = int(args.constraint[0])
+            hat = _profile(args.constraint[1], Ms[b - 1].objects)
         image = s_object(Ms, xs)
         print(f"S{tuple(','.join(x) or '()' for x in xs)} = {list(image)}")
         payload["object_image"] = [list(map(str, cell)) if isinstance(cell, tuple)
                                    else str(cell) for cell in image]
         if args.constraint:
-            b = int(args.constraint[0])
-            hat = _profile(args.constraint[1])
             rho_map = s_constraint_map(b, tuple(len(x) for x in xs), len(hat))
             print(f"constraint {b} index map: {list(rho_map.images)}")
             payload["constraint_index_map"] = list(rho_map.images)
@@ -200,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a structure document")
     p.add_argument("document")
-    p.add_argument("--max-arity", type=int, default=3)
+    p.add_argument("--max-arity", type=_bound, default=3)
     p.add_argument("--report")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("free", help="free permutative category checks and homs")
     p.add_argument("document")
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", type=_bound, default=3)
     p.add_argument("--hom", nargs=2, metavar=("SRC", "TGT"),
                    help="comma-separated object profiles; empty for the unit")
     p.add_argument("--report")
@@ -214,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endo", help="endomorphism multicategory checks")
     p.add_argument("document")
-    p.add_argument("--max-arity", type=int, default=3)
+    p.add_argument("--max-arity", type=_bound, default=3)
     p.add_argument("--ops", nargs=2, metavar=("TARGET", "PROFILE"))
     p.add_argument("--report")
     p.set_defaults(func=cmd_endo)
@@ -228,15 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-s", help="comparison functor coherence suite")
     p.add_argument("documents", nargs="+")
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=_bound, default=2)
     p.add_argument("--report")
     p.set_defaults(func=cmd_check_s)
 
     p = sub.add_parser("check-adjunction", help="unit/counit comparison suite")
     p.add_argument("multicat")
     p.add_argument("permcat")
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-arity", type=int, default=3)
+    p.add_argument("--max-len", type=_bound, default=3)
+    p.add_argument("--max-arity", type=_bound, default=3)
     p.add_argument("--report")
     p.set_defaults(func=cmd_check_adjunction)
 

@@ -510,7 +510,9 @@ def _read_functor(payload, context: str) -> SymMonFunctor:
         if type(value) is not bool:
             raise DocumentError(f"{context}: flag {name!r} must be a boolean, "
                                 f"not {value!r}")
-    return SymMonFunctor(source, target, *_read_tables(p, FUNCTOR, scope, context),
+    obj_map, mor_map, m2 = _read_tables(p, FUNCTOR, scope, context)
+    return SymMonFunctor(source, target, obj_map.__getitem__, mor_map.__getitem__,
+                         lambda x, y: m2[x, y],
                          _scalar(TGT_MOR, p, "unit_constraint", scope, context), **flags)
 
 
@@ -529,7 +531,8 @@ def _read_multinat(payload, context: str) -> MonoidalNat:
     source = _read_functor(p["source"], f"{context}: source")
     target = _read_functor(p["target"], f"{context}: target")
     scope = {OBJ: dict.fromkeys(source.source.objects), TGT_MOR: source.target.mor_src}
-    return MonoidalNat(source, target, *_read_tables(p, (COMPONENTS,), scope, context))
+    (components,) = _read_tables(p, (COMPONENTS,), scope, context)
+    return MonoidalNat(source, target, components.__getitem__)
 
 
 def _write_multinat(theta: MonoidalNat) -> dict:

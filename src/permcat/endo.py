@@ -83,7 +83,7 @@ def basepoint_check(C, max_arity: int = 3) -> CheckReport:
     report = CheckReport(f"basepoint({getattr(C, 'name', 'permcat')})")
     e = C.unit
     image = {n: EndoOp(e, (e,) * n, C.identity(e)) for n in range(max_arity + 1)}
-    report.expect("unit-preservation", image[1], E.unit(e), "unit")
+    report.expect("unit-preservation", EndoOp(e, (e,), C.identity(e)), E.unit(e), "unit")
     for n in range(max_arity + 1):
         report.expect("operation-typing",
                       image[n].mor in C.hom(sum_objs(C, (e,) * n), e), True, ("arity", n))

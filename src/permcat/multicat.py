@@ -338,14 +338,14 @@ class Multifunctor:
 
     source: Multicat
     target: Multicat
-    obj_map: Mapping | Callable
-    op_map: Mapping | Callable
+    obj_map: Callable
+    op_map: Callable
 
     def on_obj(self, c):
-        return self.obj_map[c] if isinstance(self.obj_map, Mapping) else self.obj_map(c)
+        return self.obj_map(c)
 
     def on_op(self, op):
-        return self.op_map[op] if isinstance(self.op_map, Mapping) else self.op_map(op)
+        return self.op_map(op)
 
 
 def identity_multifunctor(M: Multicat) -> Multifunctor:
@@ -365,11 +365,9 @@ class MultiNat:
 
     source: Multifunctor
     target: Multifunctor
-    components: Mapping | Callable
+    components: Callable
 
     def at(self, c):
-        if isinstance(self.components, Mapping):
-            return self.components[c]
         return self.components(c)
 
 

@@ -229,12 +229,6 @@ def validate_permcat(C, objects: Sequence | None = None,
     return report
 
 
-def _apply(m, *args):
-    if isinstance(m, Mapping):
-        return m[args if len(args) > 1 else args[0]]
-    return m(*args)
-
-
 @dataclass(frozen=True)
 class SymMonFunctor:
     """A symmetric monoidal functor with monoidal constraint ``m2`` and
@@ -242,25 +236,25 @@ class SymMonFunctor:
 
     source: object
     target: object
-    obj_map: Mapping | Callable
-    mor_map: Mapping | Callable
-    m2: Mapping | Callable | None = None
+    obj_map: Callable
+    mor_map: Callable
+    m2: Callable | None = None
     m0: object | None = None
     strict: bool = False
     strictly_unital: bool = False
     strong: bool = False
 
     def on_obj(self, x):
-        return _apply(self.obj_map, x)
+        return self.obj_map(x)
 
     def on_mor(self, f):
-        return _apply(self.mor_map, f)
+        return self.mor_map(f)
 
     def monoidal(self, x, y):
         if self.m2 is None:
             return self.target.identity(
                 self.target.sum_obj(self.on_obj(x), self.on_obj(y)))
-        return _apply(self.m2, x, y)
+        return self.m2(x, y)
 
     def unit_constraint(self):
         if self.m0 is None:
@@ -381,10 +375,10 @@ def validate_smf(P: SymMonFunctor, objects: Sequence | None = None) -> CheckRepo
 class MonoidalNat:
     source: SymMonFunctor
     target: SymMonFunctor
-    components: Mapping | Callable
+    components: Callable
 
     def at(self, x):
-        return _apply(self.components, x)
+        return self.components(x)
 
 
 def identity_monoidal_nat(P: SymMonFunctor) -> MonoidalNat:
@@ -426,7 +420,7 @@ class NLinearFunctor:
     """A functor out of a product of permutative categories with one
     linearity constraint per variable.
 
-    ``constraints`` is keyed/called as ``(j, X, Xj2)``: the component
+    ``constraints`` is called as ``(j, X, Xj2)``: the component
 
         P(X) + P(X with slot j replaced by Xj2) -> P(X with Xj + Xj2 at j).
 
@@ -436,9 +430,9 @@ class NLinearFunctor:
 
     sources: tuple
     target: object
-    obj_map: Mapping | Callable
-    mor_map: Mapping | Callable
-    constraints: Mapping | Callable | None = None
+    obj_map: Callable
+    mor_map: Callable
+    constraints: Callable | None = None
     strict: bool = False
     strong: bool = False
 
@@ -447,17 +441,15 @@ class NLinearFunctor:
         return len(self.sources)
 
     def on_obj(self, X: tuple):
-        return _apply(self.obj_map, tuple(X))
+        return self.obj_map(tuple(X))
 
     def on_mor(self, fs: tuple):
-        return _apply(self.mor_map, tuple(fs))
+        return self.mor_map(tuple(fs))
 
     def constraint(self, j: int, X: tuple, Xj2):
         if self.constraints is None:
             D = self.target
             return D.identity(D.sum_obj(self.on_obj(X), self.on_obj(replace_at(X, j, Xj2))))
-        if isinstance(self.constraints, Mapping):
-            return self.constraints[j, tuple(X), Xj2]
         return self.constraints(j, tuple(X), Xj2)
 
 
@@ -636,10 +628,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
 class NLinearNat:
     source: NLinearFunctor
     target: NLinearFunctor
-    components: Mapping | Callable
+    components: Callable
 
     def at(self, X: tuple):
-        return _apply(self.components, tuple(X))
+        return self.components(tuple(X))
 
 
 def identity_nlinear_nat(P: NLinearFunctor) -> NLinearNat:

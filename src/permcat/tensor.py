@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ComposabilityError, UnsupportedFragmentError
-from .free import FreeMorphism, FreePermCat, free_identity, free_on_multifunctor
+from .free import (
+    FreeMorphism,
+    FreePermCat,
+    free_identity,
+    free_on_multifunctor,
+    free_on_multinat,
+)
 from .multicat import (
     Multicat,
     Multifunctor,
@@ -406,7 +412,6 @@ def s_morphism(Ms: tuple, mors: tuple) -> FreeMorphism:
 def s_constraint_map(b: int, sizes: tuple, hat_b: int) -> FinMap:
     """The positional shuffle sending the concatenation of two grids to
     the grid with factor ``b`` enlarged."""
-    n = len(sizes)
     first = 1
     for s in sizes:
         first *= s
@@ -454,65 +459,34 @@ def s_functor(Ms: tuple) -> NLinearFunctor:
     Ms = tuple(Ms)
     sources = tuple(FreePermCat(M) for M in Ms)
     target = FreePermCat(tensor_grid(Ms))
-    if len(Ms) == 0:
-        return NLinearFunctor((), target, lambda X: (),
-                              lambda fs: free_identity(initial_operad(), ()),
-                              None, strict=True, strong=True)
     return NLinearFunctor(
         sources, target,
         lambda X: s_object(Ms, X),
         lambda fs: s_morphism(Ms, fs),
-        lambda b, X, X2: s_constraint(Ms, b, X, X2),
-        strict=len(Ms) == 1, strong=True)
+        (lambda b, X, X2: s_constraint(Ms, b, X, X2)) if Ms else None,
+        strict=len(Ms) <= 1, strong=True)
 
 
 def f_multi(H: Multifunctor, Ms: tuple) -> NLinearFunctor:
-    """The multilinear package of a multifunctor on a grid source:
-    entrywise application after ``S``."""
-    Ms = tuple(Ms)
-    FN = FreePermCat(H.target)
-    sources = tuple(FreePermCat(M) for M in Ms)
-    if len(Ms) == 0:
-        return NLinearFunctor((), FN, lambda X: (),
-                              lambda fs: free_identity(H.target, ()),
-                              None, strict=True, strong=True)
-
-    def on_obj(X):
-        return tuple(H.on_obj(cell) for cell in s_object(Ms, X))
-
-    def on_mor(fs):
-        image = s_morphism(Ms, fs)
-        return FreeMorphism(on_obj(tuple(m.source for m in fs)),
-                            on_obj(tuple(m.target for m in fs)),
-                            image.index_map,
-                            tuple(H.on_op(op) for op in image.ops))
-
-    def constraint(b, X, X2):
-        base = s_constraint(Ms, b, X, X2)
-        return FreeMorphism(tuple(H.on_obj(c) for c in base.source),
-                            tuple(H.on_obj(c) for c in base.target),
-                            base.index_map,
-                            tuple(H.on_op(op) for op in base.ops))
-
-    return NLinearFunctor(sources, FN, on_obj, on_mor, constraint,
-                          strict=False, strong=True)
+    """The multilinear package of a multifunctor on a grid source: the free
+    functor of ``H`` after ``S``, constraints included."""
+    S = s_functor(Ms)
+    FH = free_on_multifunctor(H)
+    constraint = None if S.constraints is None else (
+        lambda b, X, X2: FH.on_mor(S.constraint(b, X, X2)))
+    return NLinearFunctor(S.sources, FH.target,
+                          lambda X: FH.on_obj(S.on_obj(X)),
+                          lambda fs: FH.on_mor(S.on_mor(fs)),
+                          constraint, strict=not S.sources, strong=True)
 
 
 def f_multi_nat(theta: MultiNat, Ms: tuple) -> NLinearNat:
     """The multilinear transformation of a multinatural transformation on
-    a grid source: identity index maps with entrywise components."""
-    Ms = tuple(Ms)
-    P = f_multi(theta.source, Ms)
-    Q = f_multi(theta.target, Ms)
-
-    def component(X):
-        cells = s_object(Ms, X)
-        return FreeMorphism(P.on_obj(X), Q.on_obj(X),
-                            FinMap(len(cells), len(cells),
-                                   tuple(range(1, len(cells) + 1))),
-                            tuple(theta.at(cell) for cell in cells))
-
-    return NLinearNat(P, Q, component)
+    a grid source: the free transformation of ``theta`` at the image of
+    ``S``."""
+    F_theta = free_on_multinat(theta)
+    return NLinearNat(f_multi(theta.source, Ms), f_multi(theta.target, Ms),
+                      lambda X: F_theta.at(s_object(Ms, X)))
 
 
 def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
@@ -550,16 +524,13 @@ def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
                 Multifunctor(M, collapse_target, lambda c: "*",
                              lambda op, M=M: f"i{len(M.profile_of(op))}")
                 for M in Ms))]:
-        tensor_H = tensor_of_multifunctors(Hs)
-        F_tensor = free_on_multifunctor(tensor_H)
+        F_tensor = f_multi(tensor_of_multifunctors(Hs), Ms)
         FHs = [free_on_multifunctor(H) for H in Hs]
         Ns = tuple(H.target for H in Hs)
         for xs in itertools.product(*(w[:6] for w in windows)):
             lhs = s_object(Ns, tuple(FH.on_obj(x) for FH, x in zip(FHs, xs)))
-            rhs = tuple(tensor_H.on_obj(c) for c in s_object(Ms, xs))
-            report.expect("two-naturality", lhs, rhs, (label, xs))
+            report.expect("two-naturality", lhs, F_tensor.on_obj(xs), (label, xs))
         for fs in itertools.product(*(ms[:8] for ms in mor_lists)):
             lhs = s_morphism(Ns, tuple(FH.on_mor(f) for FH, f in zip(FHs, fs)))
-            rhs = F_tensor.on_mor(s_morphism(Ms, fs))
-            report.expect("two-naturality", lhs, rhs, (label, fs))
+            report.expect("two-naturality", lhs, F_tensor.on_mor(fs), (label, fs))
     return report

@@ -55,6 +55,8 @@ GOLDEN_COMMANDS = {
     "validate-multicat-mutant.txt": ["validate", doc("mutant-multicat-unity.json")],
 }
 
+TENSOR_S = ["tensor-s", doc("sign-operad2.json"), doc("two-object.json")]
+
 EXPECTED_EXIT = {
     "check-ring-en-mutant.txt": 1,
     "validate-multicat-mutant.txt": 1,
@@ -202,6 +204,38 @@ class TestExitCodes:
         code, out, err = run(capsys, ["check-ring", "--level", "ring",
                                       doc("sign.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["free", doc("mterm4.json"), "--max-len", "-1"], 2,
+         "argument --max-len: must be an integer >= 0, not '-1'"),
+        (["validate", doc("mterm3.json"), "--max-arity", "-2"], 2,
+         "argument --max-arity: must be an integer >= 0, not '-2'"),
+        (["check-s", doc("mterm3.json"), doc("two-object.json"), "--max-len", "-1"], 2,
+         "argument --max-len: must be an integer >= 0, not '-1'"),
+        (TENSOR_S + ["--objects", "*,*", "a,b", "--constraint", "x", "*"], 2,
+         "--constraint B must be one of 1, 2, not 'x'"),
+        (TENSOR_S + ["--objects", "*,*", "a,b", "--constraint", "5", "*"], 2,
+         "--constraint B must be one of 1, 2, not '5'"),
+        (TENSOR_S + ["--objects", "*,*", "a,b", "--constraint", "0", "*"], 2,
+         "--constraint B must be one of 1, 2, not '0'"),
+        (TENSOR_S + ["--constraint", "1", "*"], 2, "--constraint needs --objects"),
+        (["endo", doc("sign.json"), "--max-arity", "0"], 0, ""),
+        (["free", doc("mterm4.json"), "--hom", "q,q", "*"], 2, "unknown object 'q' in 'q,q'"),
+        (["endo", doc("sign.json"), "--ops", "7", "1,1"], 2, "unknown object '7' in '7'"),
+        (TENSOR_S + ["--objects", "zz", "a,q"], 2, "unknown object 'zz' in 'zz'"),
+        (TENSOR_S + ["--objects", "*,*", "a,b", "--constraint", "1", "a"], 2,
+         "unknown object 'a' in 'a'"),
+    ], ids=["free-max-len", "validate-max-arity", "check-s-max-len", "constraint-b-text",
+            "constraint-b-above", "constraint-b-zero", "constraint-without-objects",
+            "endo-max-arity-0", "free-hom-id", "endo-ops-id", "tensor-s-objects-id",
+            "tensor-s-hat-id"])
+    def test_cli_argument_outside_document_or_bounds(self, capsys, argv, code, message):
+        # each of these once passed (exit 0) or crashed (exit 3)
+        got, out, err = run(capsys, argv)
+        assert got == code, err
+        assert message in err
+        if code == 2:
+            assert out == ""
 
     def test_bound_exceeded_hom(self, capsys):
         code, out, err = run(capsys, ["free", doc("two-object.json"),

@@ -8,6 +8,7 @@ from permcat.fixtures import (
     POS,
     bool_or_permcat,
     s3_codiscrete_permcat,
+    sign_multiplication,
     sign_permcat,
     super_sign_permcat,
     zmod_permcat,
@@ -28,7 +29,7 @@ from permcat.transforms import (
     check_rho_mark_square,
     check_triangles,
     epsilon,
-    epsilon_counterexample,
+    epsilon_square,
     eta,
     mark_category,
     mark_functor,
@@ -241,11 +242,14 @@ class TestTriangles:
 
 class TestCounterexample:
     def test_witness_exists_and_fails(self):
-        witness = epsilon_counterexample()
-        assert not witness.commutes
-        assert witness.direct != witness.through_free
+        P = sign_multiplication(NEG, POS)
         # the functor genuinely has a nonidentity constraint
-        assert witness.functor.constraint(1, ("1", "1"), "1") == "0:-"
+        assert P.constraint(1, ("1", "1"), "1") == "0:-"
+        counts = [(c.axiom, c.instances, len(c.violations)) for c in epsilon_square(P).checks]
+        assert counts == [("square", 9801, 460)]
+        strict = epsilon_square(sign_multiplication(POS, POS))
+        counts = [(c.axiom, c.instances, len(c.violations)) for c in strict.checks]
+        assert counts == [("square", 9801, 0)]
 
 
 class TestMarking:
