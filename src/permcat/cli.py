@@ -17,7 +17,11 @@ from .endo import basepoint_check, endo_multicat
 from .errors import BoundExceededError, MalformedStructureError
 from .free import FreePermCat, free_hom
 from .multicat import validate_multicat
-from .permcats import validate_permcat
+from .permcats import (
+    validate_monoidal_nat_with_ends,
+    validate_permcat,
+    validate_smf_with_ends,
+)
 from .perms import Profile
 from .reports import CheckReport
 from .rings import (
@@ -86,8 +90,10 @@ def cmd_validate(args) -> int:
         report = validate_permcat(structure)
     elif kind in RING_VALIDATORS:
         report = RING_VALIDATORS[kind](structure)
-    else:
-        raise DocumentError(f"validate does not support kind {kind!r}")
+    elif kind == "functor":
+        report = validate_smf_with_ends(structure)
+    else:    # "multinat", the last of the nine kinds
+        report = validate_monoidal_nat_with_ends(structure)
     return _emit(report, args.report)
 
 

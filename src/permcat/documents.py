@@ -530,6 +530,9 @@ def _read_multinat(payload, context: str) -> MonoidalNat:
     p = _fields(payload, context, (COMPONENTS,), ("source", "target"), (), "multinat")
     source = _read_functor(p["source"], f"{context}: source")
     target = _read_functor(p["target"], f"{context}: target")
+    for end in ("source", "target"):    # the same tables; names may differ
+        if replace(getattr(source, end), name="") != replace(getattr(target, end), name=""):
+            raise DocumentError(f"{context}: the two functors have different {end} categories")
     scope = {OBJ: dict.fromkeys(source.source.objects), TGT_MOR: source.target.mor_src}
     (components,) = _read_tables(p, (COMPONENTS,), scope, context)
     return MonoidalNat(source, target, components.__getitem__)

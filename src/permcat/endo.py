@@ -5,9 +5,9 @@ morphism ``x_1 + ... + x_n -> y``; an empty sum means the unit object.
 Composition pastes with the morphism sum, and the symmetric group acts by
 precomposition with the canonical permutation morphisms.
 
-The induced assignment on strictly unital symmetric monoidal functors,
-and the decomposable-fragment action on multilinear functors, live here
-as well.
+The decomposable-fragment action of multilinear functors lives here as
+well; the induced assignment on a strictly unital symmetric monoidal
+functor is its 1-ary case.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .permcats import (
     MonoidalNat,
     NLinearFunctor,
     SymMonFunctor,
+    nlinear_from_smf,
     perm_to_morphism,
     replace_at,
     sum_mors,
@@ -26,6 +27,7 @@ from .permcats import (
 )
 from .perms import Permutation, Profile, all_perms, grid_indices, perm_act
 from .reports import CheckReport
+from .tensor import tensor_grid
 
 
 @dataclass(frozen=True)
@@ -107,36 +109,13 @@ def _bounded_tuples(n: int, budget: int):
             yield (head,) + tail
 
 
-def _iterated_constraint(P: SymMonFunctor, profile: Profile):
-    """The left-normalized collapse ``P(x_1) + ... + P(x_n) -> P(x_1 + ... + x_n)``."""
-    C, D = P.source, P.target
-    if not profile:
-        return P.unit_constraint()
-    acc_obj = profile[0]
-    acc = D.identity(P.on_obj(acc_obj))
-    for x in profile[1:]:
-        step = P.monoidal(acc_obj, x)
-        acc = D.compose(step, D.sum_mor(acc, D.identity(P.on_obj(x))))
-        acc_obj = C.sum_obj(acc_obj, x)
-    return acc
-
-
 def endo_on_functor(P: SymMonFunctor) -> Multifunctor:
     """The induced multifunctor of a strictly unital symmetric monoidal
-    functor: apply ``P`` and collapse with its iterated constraint."""
+    functor: the decomposable action of ``P`` as a 1-linear functor."""
     if not P.strictly_unital:
         raise ValueError("the endomorphism construction needs a strictly "
                          "unital functor (the basepoint is not preserved otherwise)")
-    EC, ED = endo_multicat(P.source), endo_multicat(P.target)
-    D = P.target
-
-    def on_op(op: EndoOp) -> EndoOp:
-        collapse = _iterated_constraint(P, op.profile)
-        return EndoOp(P.on_obj(op.target),
-                      tuple(P.on_obj(x) for x in op.profile),
-                      D.compose(P.on_mor(op.mor), collapse))
-
-    return Multifunctor(EC, ED, P.on_obj, on_op)
+    return decomposable_endo_multifunctor(nlinear_from_smf(P))
 
 
 def endo_on_nat(theta: MonoidalNat) -> MultiNat:
@@ -196,6 +175,24 @@ def endo_action(P: NLinearFunctor, mus: tuple):
         current = reduced
     assert entry_at[tuple([1] * n)] == totals
     return EndoOp(target, grid_profile, D.compose(image, acc))
+
+
+def decomposable_endo_multifunctor(P: NLinearFunctor) -> Multifunctor:
+    """The action of a multilinear functor packaged as a multifunctor on
+    the grid fragment of the endomorphism multicategories."""
+    Es = tuple(endo_multicat(S) for S in P.sources)
+    ED = endo_multicat(P.target)
+    unary = len(Es) == 1    # the grid of one factor is that factor itself
+
+    def on_op(op):
+        if unary:
+            return endo_action(P, (op,))
+        return ED.act(endo_action(P, op.components), op.twist)
+
+    def on_obj(obj):
+        return P.on_obj((obj,) if unary else obj)
+
+    return Multifunctor(tensor_grid(Es), ED, on_obj, on_op)
 
 
 def collapse_run(P: NLinearFunctor, b: int, run: list, total_b):

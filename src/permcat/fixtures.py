@@ -349,8 +349,7 @@ def zmod_sign_multiplication(n: int, flips: dict | None = None) -> NLinearFuncto
             return _sign_mor(merged, NEG)
         return _sign_mor(merged, POS)
 
-    return NLinearFunctor((C, C), C, obj_map, mor_map, constraint,
-                          strict=not flips, strong=True)
+    return NLinearFunctor((C, C), C, obj_map, mor_map, constraint)
 
 
 def sign_multiplication(alpha: str = NEG, beta: str = POS) -> NLinearFunctor:
@@ -383,6 +382,4 @@ def sign_multiplication(alpha: str = NEG, beta: str = POS) -> NLinearFunctor:
             return _sign_mor(source, alpha if j == 1 else beta)
         return _sign_mor(source, POS)
 
-    strict = alpha == POS and beta == POS
-    return NLinearFunctor((C, C), C, obj_map, mor_map, constraint,
-                          strict=strict, strong=True)
+    return NLinearFunctor((C, C), C, obj_map, mor_map, constraint)

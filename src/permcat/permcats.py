@@ -334,27 +334,30 @@ def validate_smf(P: SymMonFunctor, objects: Sequence | None = None) -> CheckRepo
                       (D.sum_obj(P.on_obj(x), P.on_obj(y)), P.on_obj(C.sum_obj(x, y))),
                       (x, y))
     for f, g in itertools.product(mors, repeat=2):
-        report.expect("monoidal-constraint-naturality",
-                      D.compose(P.monoidal(C.tgt(f), C.tgt(g)),
-                                D.sum_mor(P.on_mor(f), P.on_mor(g))),
-                      D.compose(P.on_mor(C.sum_mor(f, g)),
-                                P.monoidal(C.src(f), C.src(g))), (f, g))
+        report.evaluate("monoidal-constraint-naturality",
+                        lambda: D.compose(P.monoidal(C.tgt(f), C.tgt(g)),
+                                          D.sum_mor(P.on_mor(f), P.on_mor(g))),
+                        lambda: D.compose(P.on_mor(C.sum_mor(f, g)),
+                                          P.monoidal(C.src(f), C.src(g))), (f, g))
     for x, y, z in itertools.product(objs, repeat=3):
-        lhs = D.compose(P.monoidal(C.sum_obj(x, y), z),
-                        D.sum_mor(P.monoidal(x, y), D.identity(P.on_obj(z))))
-        rhs = D.compose(P.monoidal(x, C.sum_obj(y, z)),
-                        D.sum_mor(D.identity(P.on_obj(x)), P.monoidal(y, z)))
-        report.expect("monoidal-associativity", lhs, rhs, (x, y, z))
+        report.evaluate("monoidal-associativity",
+                        lambda: D.compose(P.monoidal(C.sum_obj(x, y), z),
+                                          D.sum_mor(P.monoidal(x, y), D.identity(P.on_obj(z)))),
+                        lambda: D.compose(P.monoidal(x, C.sum_obj(y, z)),
+                                          D.sum_mor(D.identity(P.on_obj(x)), P.monoidal(y, z))),
+                        (x, y, z))
     for x in objs:
         px = P.on_obj(x)
-        left = D.compose(P.monoidal(C.unit, x), D.sum_mor(m0, D.identity(px)))
-        report.expect("monoidal-unity", left, D.identity(px), ("left", x))
-        right = D.compose(P.monoidal(x, C.unit), D.sum_mor(D.identity(px), m0))
-        report.expect("monoidal-unity", right, D.identity(px), ("right", x))
+        report.evaluate("monoidal-unity",
+                        lambda: D.compose(P.monoidal(C.unit, x), D.sum_mor(m0, D.identity(px))),
+                        lambda: D.identity(px), ("left", x))
+        report.evaluate("monoidal-unity",
+                        lambda: D.compose(P.monoidal(x, C.unit), D.sum_mor(D.identity(px), m0)),
+                        lambda: D.identity(px), ("right", x))
     for x, y in itertools.product(objs, repeat=2):
-        lhs = D.compose(P.monoidal(y, x), D.xi(P.on_obj(x), P.on_obj(y)))
-        rhs = D.compose(P.on_mor(C.xi(x, y)), P.monoidal(x, y))
-        report.expect("monoidal-symmetry", lhs, rhs, (x, y))
+        report.evaluate("monoidal-symmetry",
+                        lambda: D.compose(P.monoidal(y, x), D.xi(P.on_obj(x), P.on_obj(y))),
+                        lambda: D.compose(P.on_mor(C.xi(x, y)), P.monoidal(x, y)), (x, y))
 
     if P.strictly_unital or P.strict:
         report.expect("flag-consistency", m0, D.identity(D.unit), "m0-flag")
@@ -368,6 +371,14 @@ def validate_smf(P: SymMonFunctor, objects: Sequence | None = None) -> CheckRepo
                 for x, y in itertools.product(objs, repeat=2)]:
             if value is not None:
                 report.expect("flag-consistency", value, True, label)
+    return report
+
+
+def validate_smf_with_ends(P: SymMonFunctor) -> CheckReport:
+    """A functor together with its source and target categories."""
+    report = validate_smf(P)
+    report.absorb(validate_permcat(P.source), "source-")
+    report.absorb(validate_permcat(P.target), "target-")
     return report
 
 
@@ -397,16 +408,26 @@ def validate_monoidal_nat(theta: MonoidalNat, objects: Sequence | None = None) -
         report.expect("component-typing",
                       (D.src(t), D.tgt(t)), (P.on_obj(x), Q.on_obj(x)), ("component", x))
     for f in mors:
-        report.expect("naturality",
-                      D.compose(theta.at(C.tgt(f)), P.on_mor(f)),
-                      D.compose(Q.on_mor(f), theta.at(C.src(f))), (f,))
-    report.expect("unity",
-                  D.compose(theta.at(C.unit), P.unit_constraint()),
-                  Q.unit_constraint(), "unit")
+        report.evaluate("naturality",
+                        lambda: D.compose(theta.at(C.tgt(f)), P.on_mor(f)),
+                        lambda: D.compose(Q.on_mor(f), theta.at(C.src(f))), (f,))
+    report.evaluate("unity",
+                    lambda: D.compose(theta.at(C.unit), P.unit_constraint()),
+                    Q.unit_constraint, ("unit",))
     for x, y in itertools.product(objs, repeat=2):
-        lhs = D.compose(theta.at(C.sum_obj(x, y)), P.monoidal(x, y))
-        rhs = D.compose(Q.monoidal(x, y), D.sum_mor(theta.at(x), theta.at(y)))
-        report.expect("constraint-compatibility", lhs, rhs, (x, y))
+        report.evaluate("constraint-compatibility",
+                        lambda: D.compose(theta.at(C.sum_obj(x, y)), P.monoidal(x, y)),
+                        lambda: D.compose(Q.monoidal(x, y),
+                                          D.sum_mor(theta.at(x), theta.at(y))), (x, y))
+    return report
+
+
+def validate_monoidal_nat_with_ends(theta: MonoidalNat) -> CheckReport:
+    """A transformation together with its two functors, each with its
+    categories."""
+    report = validate_monoidal_nat(theta)
+    report.absorb(validate_smf_with_ends(theta.source), "source-")
+    report.absorb(validate_smf_with_ends(theta.target), "target-")
     return report
 
 
@@ -433,8 +454,6 @@ class NLinearFunctor:
     obj_map: Callable
     mor_map: Callable
     constraints: Callable | None = None
-    strict: bool = False
-    strong: bool = False
 
     @property
     def arity(self) -> int:
@@ -458,8 +477,7 @@ def nlinear_from_smf(P: SymMonFunctor) -> NLinearFunctor:
     return NLinearFunctor((P.source,), P.target,
                           lambda X: P.on_obj(X[0]),
                           lambda fs: P.on_mor(fs[0]),
-                          lambda j, X, X2: P.monoidal(X[0], X2),
-                          strict=P.strict, strong=P.strong)
+                          lambda j, X, X2: P.monoidal(X[0], X2))
 
 
 def smf_from_nlinear(P: NLinearFunctor) -> SymMonFunctor:
@@ -468,14 +486,11 @@ def smf_from_nlinear(P: NLinearFunctor) -> SymMonFunctor:
     return SymMonFunctor(P.sources[0], P.target,
                          lambda x: P.on_obj((x,)),
                          lambda f: P.on_mor((f,)),
-                         lambda x, y: P.constraint(1, (x,), y),
-                         None,
-                         strict=P.strict, strictly_unital=True, strong=P.strong)
+                         lambda x, y: P.constraint(1, (x,), y), strictly_unital=True)
 
 
 def identity_nlinear(C) -> NLinearFunctor:
-    return NLinearFunctor((C,), C, lambda X: X[0], lambda fs: fs[0],
-                          None, strict=True, strong=True)
+    return NLinearFunctor((C,), C, lambda X: X[0], lambda fs: fs[0])
 
 
 def _windows(P: NLinearFunctor, objects) -> list[tuple]:
@@ -697,7 +712,7 @@ def nlinear_sigma_act(P: NLinearFunctor, sigma: Permutation) -> NLinearFunctor:
     return NLinearFunctor(sources, P.target,
                           lambda A: P.on_obj(sigma_tuple(sigma, A)),
                           lambda fs: P.on_mor(sigma_tuple(sigma, fs)),
-                          constraint, strict=P.strict, strong=P.strong)
+                          constraint)
 
 
 def _chunks(W: tuple, arities: Sequence[int]) -> list[tuple]:
@@ -746,9 +761,7 @@ def nlinear_gamma(P: NLinearFunctor, Ps: Sequence[NLinearFunctor]) -> NLinearFun
 
     return NLinearFunctor(sources, D, on_obj, on_mor,
                           None if all(Q.constraints is None for Q in Ps)
-                          and P.constraints is None else constraint,
-                          strict=P.strict and all(Q.strict for Q in Ps),
-                          strong=P.strong and all(Q.strong for Q in Ps))
+                          and P.constraints is None else constraint)
 
 
 def nlinear_gamma_nat(theta: NLinearNat, thetas: Sequence[NLinearNat]) -> NLinearNat:

@@ -463,8 +463,7 @@ def s_functor(Ms: tuple) -> NLinearFunctor:
         sources, target,
         lambda X: s_object(Ms, X),
         lambda fs: s_morphism(Ms, fs),
-        (lambda b, X, X2: s_constraint(Ms, b, X, X2)) if Ms else None,
-        strict=len(Ms) <= 1, strong=True)
+        (lambda b, X, X2: s_constraint(Ms, b, X, X2)) if Ms else None)
 
 
 def f_multi(H: Multifunctor, Ms: tuple) -> NLinearFunctor:
@@ -477,7 +476,7 @@ def f_multi(H: Multifunctor, Ms: tuple) -> NLinearFunctor:
     return NLinearFunctor(S.sources, FH.target,
                           lambda X: FH.on_obj(S.on_obj(X)),
                           lambda fs: FH.on_mor(S.on_mor(fs)),
-                          constraint, strict=not S.sources, strong=True)
+                          constraint)
 
 
 def f_multi_nat(theta: MultiNat, Ms: tuple) -> NLinearNat:

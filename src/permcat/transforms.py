@@ -15,7 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .endo import EndoOp, endo_action, endo_multicat, endo_on_functor
+from .endo import (
+    EndoOp,
+    decomposable_endo_multifunctor,
+    endo_action,
+    endo_multicat,
+    endo_on_functor,
+)
 from .fixtures import NEG, POS, sign_multiplication
 from .free import FreeMorphism, FreePermCat, free_on_multifunctor
 from .multicat import (
@@ -31,6 +37,7 @@ from .permcats import (
     SymMonFunctor,
     identity_smf,
     perm_to_morphism,
+    smf_compose,
     sum_mors,
     sum_objs,
     validate_permcat,
@@ -39,7 +46,6 @@ from .perms import (
     FinMap,
     Permutation,
     Profile,
-    identity_map,
     sigma_kgf,
     terminal_map,
 )
@@ -72,18 +78,14 @@ def rho(C) -> SymMonFunctor:
     collapse morphisms, so this is not strictly unital."""
     FE = FreePermCat(endo_multicat(C))
 
-    def on_mor(f):
-        return FreeMorphism((C.src(f),), (C.tgt(f),), identity_map(1),
-                            (EndoOp(C.tgt(f), (C.src(f),), f),))
+    def collapse(profile, f):
+        """``f`` as one operation on ``profile``, with a single output."""
+        return FreeMorphism(profile, (C.tgt(f),), terminal_map(len(profile)),
+                            (EndoOp(C.tgt(f), profile, f),))
 
-    def m2(x, y):
-        s = C.sum_obj(x, y)
-        return FreeMorphism((x, y), (s,), terminal_map(2),
-                            (EndoOp(s, (x, y), C.identity(s)),))
-
-    m0 = FreeMorphism((), (C.unit,), terminal_map(0),
-                      (EndoOp(C.unit, (), C.identity(C.unit)),))
-    return SymMonFunctor(C, FE, lambda x: (x,), on_mor, m2, m0)
+    return SymMonFunctor(C, FE, lambda x: (x,), lambda f: collapse((C.src(f),), f),
+                         lambda x, y: collapse((x, y), C.identity(C.sum_obj(x, y))),
+                         collapse((), C.identity(C.unit)))
 
 
 def epsilon(C) -> SymMonFunctor:
@@ -161,27 +163,6 @@ def check_triangles(M: Multicat, C, max_len: int = 3, max_arity: int = 3,
     return report
 
 
-def decomposable_endo_multifunctor(P: NLinearFunctor) -> Multifunctor:
-    """The action of a multilinear functor packaged as a multifunctor on
-    the grid fragment of the endomorphism multicategories."""
-    Es = tuple(endo_multicat(S) for S in P.sources)
-    grid = tensor_grid(Es)
-    ED = endo_multicat(P.target)
-
-    def on_op(op):
-        if len(Es) == 1:
-            return endo_action(P, (op,))
-        base = endo_action(P, op.components)
-        return ED.act(base, op.twist)
-
-    def on_obj(obj):
-        if len(Es) == 1:
-            return P.on_obj((obj,))
-        return P.on_obj(obj)
-
-    return Multifunctor(grid, ED, on_obj, on_op)
-
-
 SQUARE_LEN = 2  # the longest object of each free endomorphism category in the square
 
 
@@ -232,21 +213,20 @@ def mark_category(C: FinPermCat) -> MarkedPermCat:
     zero = _fresh("mark:0", C.objects)
     id0 = _fresh("mark:id0", C.morphisms())
     e = C.unit
-
-    def marked(f):
-        return f"mark:t;{f}"
+    from_unit = [f for f in C.morphisms() if C.src(f) == e]
+    # a prefix ``p`` is taken when some ``p;f`` already names a morphism
+    prefix = _fresh("mark:t", {m[:-len(f) - 1] for m in C.morphisms()
+                               for f in from_unit if m.endswith(f";{f}")})
 
     objects = C.objects + (zero,)
     mor_src = dict(C.mor_src)
     mor_tgt = dict(C.mor_tgt)
     mor_src[id0] = zero
     mor_tgt[id0] = zero
-    t_mors = {}
-    for f in C.morphisms():
-        if C.src(f) == e:
-            t_mors[f] = marked(f)
-            mor_src[marked(f)] = zero
-            mor_tgt[marked(f)] = C.tgt(f)
+    t_mors = {f: f"{prefix};{f}" for f in from_unit}
+    for f, tf in t_mors.items():
+        mor_src[tf] = zero
+        mor_tgt[tf] = C.tgt(f)
     identities = dict(C.identities)
     identities[zero] = id0
 
@@ -302,7 +282,7 @@ def mark_category(C: FinPermCat) -> MarkedPermCat:
 def mark_functor(P: SymMonFunctor, marked: MarkedPermCat) -> SymMonFunctor:
     """Extend a symmetric monoidal functor to the marking, sending the
     connecting morphism to the unit constraint; strictly unital."""
-    C, D = P.source, P.target
+    D = P.target
     Cm = marked.category
 
     def on_obj(x):
@@ -327,75 +307,16 @@ def mark_functor(P: SymMonFunctor, marked: MarkedPermCat) -> SymMonFunctor:
                          strict=P.strict, strong=P.strong)
 
 
-def mark_functor_pointed(P: SymMonFunctor, source_mark: MarkedPermCat,
-                         target_mark: MarkedPermCat) -> SymMonFunctor:
-    """The marked lift of a strictly unital functor, zero to zero and the
-    connecting morphism to the connecting morphism."""
-    if not P.strictly_unital:
-        raise ValueError("the marked lift needs a strictly unital functor")
-    Cm, Dm = source_mark.category, target_mark.category
-    D = P.target
-
-    def on_obj(x):
-        return target_mark.zero if x == source_mark.zero else P.on_obj(x)
-
-    def on_mor(f):
-        if f == Cm.identity(source_mark.zero):
-            return Dm.identity(target_mark.zero)
-        if Cm.src(f) == source_mark.zero:
-            base = source_mark.collapse.on_mor(f)     # a morphism e -> x
-            image = P.on_mor(base)
-            return Dm.compose(image, target_mark.t)
-        return P.on_mor(f)
-
-    def m2(x, y):
-        if x == source_mark.zero or y == source_mark.zero:
-            other = y if x == source_mark.zero else x
-            return Dm.identity(on_obj(other))
-        return P.monoidal(x, y)
-
-    return SymMonFunctor(Cm, Dm, on_obj, on_mor, m2, None,
-                         strictly_unital=True, strict=P.strict, strong=P.strong)
-
-
-def rho_mark(C, marked: MarkedPermCat) -> SymMonFunctor:
-    """The strictly unital replacement of the length-1 inclusion on the
-    marking: zero to the empty profile, the connecting morphism to the
-    empty-to-unit collapse."""
-    base = rho(C)
-    FE = base.target
-    Cm = marked.category
-
-    def on_obj(x):
-        return () if x == marked.zero else base.on_obj(x)
-
-    def on_mor(f):
-        if f == Cm.identity(marked.zero):
-            return FE.identity(())
-        if Cm.src(f) == marked.zero:
-            g = marked.collapse.on_mor(f)
-            return FreeMorphism((), (C.tgt(g),), terminal_map(0),
-                                (EndoOp(C.tgt(g), (), g),))
-        return base.on_mor(f)
-
-    def m2(x, y):
-        if x == marked.zero or y == marked.zero:
-            other = y if x == marked.zero else x
-            return FE.identity(on_obj(other))
-        return base.monoidal(x, y)
-
-    return SymMonFunctor(Cm, FE, on_obj, on_mor, m2, None, strictly_unital=True)
-
-
 def check_rho_mark_square(P: SymMonFunctor) -> CheckReport:
     """The zigzag square for a strictly unital functor: the marked lift
-    against the induced functor on free endomorphism categories."""
+    against the induced functor on free endomorphism categories, with the
+    marked length-1 inclusions on both sides."""
     C, D = P.source, P.target
     mC, mD = mark_category(C), mark_category(D)
-    lift = mark_functor_pointed(P, mC, mD)
+    lift = mark_functor(smf_compose(mD.inclusion, P), mC)
     FEP = free_on_multifunctor(endo_on_functor(P))
-    left = rho_mark(C, mC)
-    right = rho_mark(D, mD)
+    left = mark_functor(rho(C), mC)
+    right = mark_functor(rho(D), mD)
     report = CheckReport("rho-mark-square")
     Cm = mC.category
     for x in Cm.objects:

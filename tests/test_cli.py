@@ -108,6 +108,23 @@ class TestExitCodes:
         assert code == 2
         assert "unknown operation" in err
 
+    @pytest.mark.parametrize("name", ["identity-functor.json", "identity-multinat.json"])
+    def test_validate_functor_and_multinat(self, capsys, name):
+        code, out, err = run(capsys, ["validate", doc(name)])
+        assert code == 0, out + err
+        assert "  source-" in out and "  target-" in out
+
+    def test_validate_functor_with_a_negated_constraint(self, capsys, tmp_path):
+        payload = json.loads((DOCS / "identity-functor.json").read_text(encoding="utf-8"))
+        for row in payload["monoidal_constraint"]:
+            if (row["left"], row["right"]) == ("1", "0"):
+                row["morphism"] = "1:-"
+        path = tmp_path / "functor-negated.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert "monoidal-unity: 4 instances, FAIL" in out
+
     def test_unsupported_version(self, capsys, tmp_path):
         payload = json.loads((DOCS / "sign.json").read_text(encoding="utf-8"))
         payload["version"] = 99

@@ -256,7 +256,8 @@ class TestSigmaAction:
         assert report.passed, report.summary()
 
     def test_flags_preserved(self):
-        assert nlinear_sigma_act(MULT, Permutation((2, 1))).strong
+        acted = nlinear_sigma_act(MULT, Permutation((2, 1)))
+        assert validate_nlinear(acted).metadata["classification"] == "strong"
 
 
 class TestGamma:
@@ -270,10 +271,10 @@ class TestGamma:
 
     def test_composite_of_strong_is_strong_and_valid(self):
         composite = nlinear_gamma(MULT, (MULT, identity_nlinear(SIGN)))
-        assert composite.strong
         assert composite.arity == 3
         report = validate_nlinear(composite)
         assert report.passed, report.summary()
+        assert report.metadata["classification"] == "strong"
 
     def test_gamma_nat_of_identities(self):
         theta = identity_nlinear_nat(MULT)

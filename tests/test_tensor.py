@@ -221,7 +221,8 @@ class TestSFunctor:
         mor = FreeMorphism(star(2), star(1), terminal_map(2), ("-2",))
         assert S.on_mor((mor,)) == mor
         assert S.on_obj((star(2),)) == star(2)
-        assert S.strict
+        window = S.sources[0].enumerate_objects(2)
+        assert validate_nlinear(S, objects=[window]).metadata["classification"] == "strict"
 
 
 def collapse_to_terminal(M, target=MTERM2):

@@ -1,0 +1,39 @@
+"""The benchmark tracer's targets resolve against the package, so a
+refactor of ``src/`` cannot silently break ``perfbench/run.py --trace 1``.
+
+The tracer module is only loaded, never installed."""
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+from permcat.endo import endo_multicat
+from permcat.fixtures import sign_permcat
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _targets() -> list:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_every_target_resolves_as_install_looks_it_up():
+    """A module global, or an attribute in the owning class's ``__dict__``."""
+    unresolved = []
+    for module_name, path, _, _ in _targets():
+        owner = importlib.import_module(f"permcat.{module_name}")
+        *owner_path, attr = path.split(".")
+        for part in owner_path:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(attr)):
+            unresolved.append(f"{module_name}.{path}")
+    assert unresolved == []
+
+
+def test_endo_views_have_a_replaceable_compose():
+    view = endo_multicat(sign_permcat())
+    assert dataclasses.is_dataclass(view)
+    assert "compose_fn" in {f.name for f in dataclasses.fields(view)}

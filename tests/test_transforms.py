@@ -13,6 +13,7 @@ from permcat.fixtures import (
     super_sign_permcat,
     zmod_permcat,
 )
+from permcat.documents import parse_document, serialize
 from permcat.free import FreeMorphism, FreePermCat
 from permcat.multicat import (
     Multifunctor,
@@ -20,7 +21,13 @@ from permcat.multicat import (
     terminal_multicat,
     validate_multifunctor,
 )
-from permcat.permcats import SymMonFunctor, identity_smf, validate_permcat, validate_smf
+from permcat.permcats import (
+    SymMonFunctor,
+    identity_smf,
+    smf_compose,
+    validate_permcat,
+    validate_smf,
+)
 from permcat.perms import FinMap, Permutation, identity_map, terminal_map
 from permcat.fixtures import sign_operad, swap_operad, two_object_multicat
 from permcat.tensor import tensor_grid, tensor_op
@@ -34,7 +41,6 @@ from permcat.transforms import (
     mark_category,
     mark_functor,
     rho,
-    rho_mark,
     xi_f,
 )
 
@@ -45,6 +51,9 @@ Z3 = zmod_permcat(3)
 SIGNS2 = sign_operad(2)
 TWO = two_object_multicat()
 MTERM3 = terminal_multicat(3)
+# the five shipped permcats; super-sign and s3-codiscrete pin the direction
+# conventions (a nontrivial symmetry and a noncommutative composition)
+PERMCATS = [SIGN, SUPER, BOOL, Z3, s3_codiscrete_permcat()]
 
 
 class TestEta:
@@ -253,9 +262,7 @@ class TestCounterexample:
 
 
 class TestMarking:
-    @pytest.mark.parametrize("C", [SIGN, SUPER, BOOL, Z3,
-                                   s3_codiscrete_permcat()],
-                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("C", PERMCATS, ids=lambda c: c.name)
     def test_marked_category_validates(self, C):
         marked = mark_category(C)
         report = validate_permcat(marked.category)
@@ -303,6 +310,20 @@ class TestMarking:
         m = mark_category(SIGN)
         assert m.collapse.on_mor(m.t) == SIGN.identity(SIGN.unit)
 
+    def test_connecting_morphism_names_are_fresh(self):
+        # a morphism already named like the connecting morphism of id:0
+        text = serialize("permcat", BOOL).replace('"id:1"', '"mark:t;id:0"')
+        _, C = parse_document(text)
+        assert validate_permcat(C).passed
+        m = mark_category(C)
+        Cm = m.category
+        assert set(C.morphisms()) < set(Cm.morphisms())
+        assert len(Cm.morphisms()) == len(C.morphisms()) + 2    # mark:id0 and t
+        for f in C.morphisms():
+            assert (Cm.src(f), Cm.tgt(f)) == (C.src(f), C.tgt(f))
+        report = validate_permcat(Cm)
+        assert report.passed, report.summary()
+
 
 class TestMarkedFunctors:
     def test_mark_functor_strictly_unital_and_valid(self):
@@ -316,10 +337,19 @@ class TestMarkedFunctors:
         assert report.passed, report.summary()
         assert lifted.on_mor(m.t) == P.unit_constraint()
 
-    def test_rho_mark_validates(self):
-        m = mark_category(SIGN)
-        lifted = rho_mark(SIGN, m)
-        report = validate_smf(lifted, objects=m.category.objects)
+    @pytest.mark.parametrize("C", PERMCATS, ids=lambda c: c.name)
+    def test_one_lift_builds_the_square(self, C):
+        """The marked inclusion and the pointed lift are both
+        ``mark_functor`` of a composite, and the square holds."""
+        report = check_rho_mark_square(identity_smf(C))
+        assert report.passed, report.summary()
+        m = mark_category(C)
+        window = m.category.objects
+        report = validate_smf(mark_functor(rho(C), m), objects=window)
+        assert report.passed, report.summary()
+        pointed = mark_functor(smf_compose(m.inclusion, identity_smf(C)), m)
+        assert pointed.on_mor(m.t) == m.t
+        report = validate_smf(pointed, objects=window)
         assert report.passed, report.summary()
 
     def test_rho_mark_square_identity(self):
