@@ -73,11 +73,16 @@ def _bound(text: str) -> int:
     return int(text)
 
 
-def _emit(report: CheckReport, out_path: str | None) -> int:
-    print(report.summary())
+def _write_report(out_path: str | None, payload) -> None:
+    """Write ``payload`` as canonical JSON to ``--report``, if given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(dumps(report.as_json()))
+            handle.write(dumps(payload))
+
+
+def _emit(report: CheckReport, out_path: str | None) -> int:
+    print(report.summary())
+    _write_report(out_path, report.as_json())
     return 0 if report.passed else 1
 
 
@@ -118,10 +123,8 @@ def cmd_free(args) -> int:
                             "operations": [str(op) for op in mor.ops]})
             print(f"  index map {list(mor.index_map.images)} "
                   f"operations {[str(op) for op in mor.ops]}")
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(dumps({"hom": payload,
-                                    "source": list(src), "target": list(tgt)}))
+        _write_report(args.report, {"hom": payload,
+                                     "source": list(src), "target": list(tgt)})
         return 0
     window = F.enumerate_objects(args.max_len)
     small = F.enumerate_objects(min(args.max_len, 2))
@@ -142,10 +145,8 @@ def cmd_endo(args) -> int:
         print(f"operations({target}; {','.join(profile) or '()'}): {len(ops)}")
         for op in ops:
             print(f"  {op.mor}")
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(dumps({"target": target, "profile": list(profile),
-                                    "operations": [str(op.mor) for op in ops]}))
+        _write_report(args.report, {"target": target, "profile": list(profile),
+                                    "operations": [str(op.mor) for op in ops]})
         return 0
     report = validate_multicat(E, max_arity=args.max_arity)
     report.absorb(basepoint_check(C, max_arity=args.max_arity))
@@ -186,9 +187,7 @@ def cmd_tensor_s(args) -> int:
             rho_map = s_constraint_map(b, tuple(len(x) for x in xs), len(hat))
             print(f"constraint {b} index map: {list(rho_map.images)}")
             payload["constraint_index_map"] = list(rho_map.images)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(dumps(payload))
+    _write_report(args.report, payload)
     return 0
 
 
@@ -283,10 +282,7 @@ def run_command(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MalformedStructureError, BoundExceededError) as exc:
+    except (DocumentError, MalformedStructureError, BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -215,19 +215,14 @@ def object_of(mor: str) -> str:
 
 
 def sign_product(n: int) -> "StrictProduct":
-    """Multiplication mod n on the sign category: the sign of a product
-    morphism is each factor raised to the parity of the other's object."""
+    """Multiplication mod n on the sign category, the tables of
+    :func:`zmod_sign_multiplication`."""
     from .rings import StrictProduct
 
-    C = zmod_sign_permcat(n)
-    obj_table = {(x, y): str(int(x) * int(y) % n)
-                 for x in C.objects for y in C.objects}
-    mor_table = {}
-    for f in C.morphisms():
-        for g in C.morphisms():
-            x, y = object_of(f), object_of(g)
-            parts = [sign_of(f)] * (int(y) % 2) + [sign_of(g)] * (int(x) % 2)
-            mor_table[f, g] = _sign_mor(obj_table[x, y], _sign_mul(*parts))
+    M = zmod_sign_multiplication(n)
+    C = M.target
+    obj_table = {(x, y): M.on_obj((x, y)) for x in C.objects for y in C.objects}
+    mor_table = {(f, g): M.on_mor((f, g)) for f in C.morphisms() for g in C.morphisms()}
     return StrictProduct("1", obj_table, mor_table)
 
 
@@ -238,6 +233,18 @@ def _identity_facts(C: FinPermCat, product) -> tuple[dict, dict]:
         left[a, b, c] = C.identity(product.on_obj(C.sum_obj(a, b), c))
         right[a, b, c] = C.identity(product.on_obj(a, C.sum_obj(b, c)))
     return left, right
+
+
+def _identity_exchanges(C: FinPermCat, product, k: int) -> dict:
+    """Identity exchanges ``(i, j, a, b, c, d)`` for every pair of the
+    ``k`` copies of ``product``."""
+    exchanges = {}
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            for a, b, c, d in itertools.product(C.objects, repeat=4):
+                obj = product.on_obj(product.on_obj(a, b), product.on_obj(c, d))
+                exchanges[i, j, a, b, c, d] = C.identity(obj)
+    return exchanges
 
 
 def sign_ring(n: int = 4) -> "RingCatData":
@@ -274,14 +281,7 @@ def sign_nfold(k: int, n: int = 4) -> "NFoldData":
 
     C = zmod_sign_permcat(n)
     P = sign_product(n)
-    exchanges = {}
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for args in itertools.product(C.objects, repeat=4):
-                a, b, c, d = args
-                obj = P.on_obj(P.on_obj(a, b), P.on_obj(c, d))
-                exchanges[(i, j) + args] = C.identity(obj)
-    return NFoldData(f"sign{n}-{k}fold", C, (P,) * k, exchanges)
+    return NFoldData(f"sign{n}-{k}fold", C, (P,) * k, _identity_exchanges(C, P, k))
 
 
 def sign_en(k: int, n: int = 4) -> "EnData":
@@ -313,25 +313,18 @@ def bool_en(k: int) -> "EnData":
 
     ring = bool_ring()
     C = ring.additive
-    exchanges = {}
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for args in itertools.product(C.objects, repeat=4):
-                a, b, c, d = args
-                obj = ring.product.on_obj(ring.product.on_obj(a, b),
-                                          ring.product.on_obj(c, d))
-                exchanges[(i, j) + args] = C.identity(obj)
     return EnData(f"bool-e{k}", C, (ring.product,) * k,
-                  (ring.left_fact,) * k, (ring.right_fact,) * k, exchanges)
+                  (ring.left_fact,) * k, (ring.right_fact,) * k,
+                  _identity_exchanges(C, ring.product, k))
 
 
-def zmod_sign_multiplication(n: int, flips: dict | None = None) -> NLinearFunctor:
+def zmod_sign_multiplication(n: int, flips=()) -> NLinearFunctor:
     """Multiplication mod n as a bilinear functor on the mod-n sign
-    category, with identity linearity constraints except at the given
-    ``flips`` keys ``(j, X, X2)``.  The unflipped functor is strict and
-    valid for even ``n``."""
+    category: the sign of ``P(s, t)`` at objects ``(x, y)`` is
+    ``s^y t^x``.  The linearity constraints are identities except at the
+    ``flips`` keys ``(j, X, X2)``, where they are negative.  The unflipped
+    functor is strict and valid for even ``n``."""
     C = zmod_sign_permcat(n)
-    flips = flips or {}
 
     def obj_map(X):
         return str(int(X[0]) * int(X[1]) % n)
@@ -353,33 +346,13 @@ def zmod_sign_multiplication(n: int, flips: dict | None = None) -> NLinearFuncto
 
 
 def sign_multiplication(alpha: str = NEG, beta: str = POS) -> NLinearFunctor:
-    """The multiplication bilinear functor on the sign category.
+    """The multiplication bilinear functor on the mod-2 sign category.
 
-    On objects it multiplies mod 2; the sign of ``P(s, t)`` at objects
-    ``(x, y)`` is ``s^y t^x``.  The first linearity constraint at
-    ``((1, 1), 1)`` is ``alpha``, the second at the mirror position is
-    ``beta``; all constraint components forced by the unity axiom are
-    identities.  With a nonidentity ``alpha`` this is the strong
-    non-strict bilinear functor used to exhibit non-naturality of the
-    counit; with ``alpha = beta = +`` it is strict.
+    The first linearity constraint at ``((1, 1), 1)`` is ``alpha``, the
+    second at the mirror position is ``beta``; all constraint components
+    forced by the unity axiom are identities.  With a nonidentity ``alpha``
+    this is the strong non-strict bilinear functor used to exhibit
+    non-naturality of the counit; with ``alpha = beta = +`` it is strict.
     """
-    C = sign_permcat()
-
-    def obj_map(X):
-        return str(int(X[0]) * int(X[1]) % 2)
-
-    def mor_map(fs):
-        s, t = fs
-        x, y = object_of(s), object_of(t)
-        parts = [sign_of(s)] * int(y) + [sign_of(t)] * int(x)
-        return _sign_mor(obj_map((x, y)), _sign_mul(*parts))
-
-    def constraint(j, X, X2):
-        x, y = X
-        other = y if j == 1 else x
-        source = str((int(X[j - 1]) + int(X2)) * int(other) % 2)
-        if X[j - 1] == "1" and X2 == "1" and other == "1":
-            return _sign_mor(source, alpha if j == 1 else beta)
-        return _sign_mor(source, POS)
-
-    return NLinearFunctor((C, C), C, obj_map, mor_map, constraint)
+    flips = {(j, ("1", "1"), "1") for j, sign in ((1, alpha), (2, beta)) if sign == NEG}
+    return zmod_sign_multiplication(2, flips)

@@ -1,11 +1,12 @@
 """Finite multicategories, multifunctors, multinatural transformations.
 
-Two backings share one interface: :class:`FinMulticat` is table-backed and
-total up to its arity bound, :class:`MulticatView` computes operation sets,
-actions and composition on demand (endomorphism multicategories, tensor
-fragments and free-construction homs are views).  Exhaustive validation
-works uniformly on both, restricted to a finite object window and arity
-bound.
+Every backing shares the :class:`Multicat` interface, which decides the
+boundary rules of composition once: :class:`FinMulticat` is table-backed
+and total up to its arity bound, :class:`MulticatView` computes operation
+sets, actions and composition on demand (endomorphism multicategories are
+views), and ``tensor.TensorGridView`` computes the grid fragment of a
+tensor product.  Exhaustive validation works uniformly on all of them,
+restricted to a finite object window and arity bound.
 
 Operation identity is by value: table operations are opaque labels,
 view operations are structured values with value equality.
@@ -36,12 +37,20 @@ from .reports import CheckReport, memo
 
 
 class Multicat:
-    """Shared interface of table-backed and computed multicategories."""
+    """Shared interface of table-backed and computed multicategories.
 
+    The boundary rules of composition are decided here, once for every
+    backing: see :meth:`check_composite`."""
+
+    name: str
+    objects: "tuple | None"
     max_arity: "int | None"
 
     def object_list(self) -> tuple:
-        raise NotImplementedError
+        if self.objects is None:
+            raise MalformedStructureError(
+                f"{self.name}: object class not enumerable, pass an explicit window")
+        return self.objects
 
     def ops(self, target, profile: Profile) -> tuple:
         raise NotImplementedError
@@ -64,9 +73,21 @@ class Multicat:
     def compose(self, outer, inners: tuple):
         raise NotImplementedError
 
-    def check_bound(self, arity: int) -> None:
-        if self.max_arity is not None and arity > self.max_arity:
-            raise BoundExceededError(f"arity {arity} exceeds bound {self.max_arity}")
+    def check_composite(self, outer, inners: tuple) -> None:
+        """One inner operation per input of ``outer``, each with the output
+        its slot asks for, and a composite arity within ``max_arity``."""
+        profile = self.profile_of(outer)
+        if len(inners) != len(profile):
+            raise ComposabilityError(
+                f"{len(inners)} inner operations for arity {len(profile)}")
+        for slot, inner in zip(profile, inners):
+            output = self.output_of(inner)
+            if output != slot:
+                raise ComposabilityError(f"inner output {output!r} != {slot!r}")
+        if self.max_arity is not None:
+            arity = sum(self.arity_of(i) for i in inners)
+            if arity > self.max_arity:
+                raise BoundExceededError(f"arity {arity} exceeds bound {self.max_arity}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +111,6 @@ class FinMulticat(Multicat):
     def __post_init__(self):
         for op, (output, profile) in self.operations.items():
             self._by_boundary.setdefault((output, tuple(profile)), []).append(op)
-
-    def object_list(self) -> tuple:
-        return self.objects
 
     def ops(self, target, profile: Profile) -> tuple:
         return tuple(self._by_boundary.get((target, tuple(profile)), ()))
@@ -125,16 +143,9 @@ class FinMulticat(Multicat):
 
     def compose(self, outer, inners: tuple):
         inners = tuple(inners)
-        if len(inners) != self.arity_of(outer):
-            raise ComposabilityError(
-                f"{len(inners)} inner operations for arity {self.arity_of(outer)}")
-        profile = self.profile_of(outer)
-        for slot, inner in zip(profile, inners):
-            if self.output_of(inner) != slot:
-                raise ComposabilityError(f"inner output {self.output_of(inner)!r} != {slot!r}")
+        self.check_composite(outer, inners)
         if not inners:
             return outer
-        self.check_bound(sum(self.arity_of(i) for i in inners))
         try:
             return self.gamma[outer, inners]
         except KeyError:
@@ -159,12 +170,6 @@ class MulticatView(Multicat):
     act_fn: Callable
     compose_fn: Callable
 
-    def object_list(self) -> tuple:
-        if self.objects is None:
-            raise MalformedStructureError(
-                f"{self.name}: object class not enumerable, pass an explicit window")
-        return self.objects
-
     def ops(self, target, profile: Profile) -> tuple:
         return tuple(self.ops_fn(target, tuple(profile)))
 
@@ -184,12 +189,9 @@ class MulticatView(Multicat):
 
     def compose(self, outer, inners: tuple):
         inners = tuple(inners)
-        if len(inners) != self.arity_of(outer):
-            raise ComposabilityError(
-                f"{len(inners)} inner operations for arity {self.arity_of(outer)}")
+        self.check_composite(outer, inners)
         if not inners:
             return outer
-        self.check_bound(sum(self.arity_of(i) for i in inners))
         return self.compose_fn(outer, inners)
 
 
@@ -257,78 +259,6 @@ def endo_operad_of_object(M: Multicat, c) -> MulticatView:
         output_fn=lambda op: c,
         profile_fn=lambda op: M.profile_of(op),
         act_fn=M.act, compose_fn=M.compose)
-
-
-@dataclass(frozen=True)
-class FinCategory:
-    """A finite category presented by tables."""
-
-    objects: tuple
-    mor_src: Mapping
-    mor_tgt: Mapping
-    identities: Mapping      # obj -> morphism
-    composition: Mapping     # (g, f) -> g after f
-
-    def morphisms(self) -> tuple:
-        return tuple(self.mor_src)
-
-    def hom(self, x, y) -> tuple:
-        return tuple(f for f in self.mor_src
-                     if self.mor_src[f] == x and self.mor_tgt[f] == y)
-
-    def compose(self, g, f):
-        if self.mor_tgt[f] != self.mor_src[g]:
-            raise ComposabilityError(f"{f!r} then {g!r}")
-        try:
-            return self.composition[g, f]
-        except KeyError:
-            raise MalformedStructureError(f"missing composite ({g!r}, {f!r})")
-
-    def identity(self, x):
-        return self.identities[x]
-
-
-def validate_category(C: FinCategory) -> CheckReport:
-    report = CheckReport("category")
-    for x in C.objects:
-        i = C.identity(x)
-        report.expect("identity-typing", (C.mor_src[i], C.mor_tgt[i]), (x, x), ("id", x))
-    for f in C.morphisms():
-        report.expect("unity", C.compose(C.identity(C.mor_tgt[f]), f), f, ("left", f))
-        report.expect("unity", C.compose(f, C.identity(C.mor_src[f])), f, ("right", f))
-    for f in C.morphisms():
-        for g in C.morphisms():
-            if C.mor_src[g] != C.mor_tgt[f]:
-                continue
-            gf = C.compose(g, f)
-            report.expect("composition-typing",
-                          (C.mor_src[gf], C.mor_tgt[gf]),
-                          (C.mor_src[f], C.mor_tgt[g]), (g, f))
-            for h in C.morphisms():
-                if C.mor_src[h] != C.mor_tgt[g]:
-                    continue
-                report.expect("associativity",
-                              C.compose(h, gf), C.compose(C.compose(h, g), f), (h, g, f))
-    return report
-
-
-def underlying_category(M: Multicat, objects: Sequence | None = None) -> FinCategory:
-    """Objects of ``M`` with the unary operations as morphisms."""
-    objs = tuple(objects) if objects is not None else M.object_list()
-    mor_src = {}
-    mor_tgt = {}
-    for y in objs:
-        for x in objs:
-            for op in M.ops(y, (x,)):
-                mor_src[op] = x
-                mor_tgt[op] = y
-    composition = {}
-    for g in mor_src:
-        for f in mor_src:
-            if mor_tgt[f] == mor_src[g]:
-                composition[g, f] = M.compose(g, (f,))
-    return FinCategory(objs, mor_src, mor_tgt,
-                       {x: M.unit(x) for x in objs}, composition)
 
 
 @dataclass(frozen=True)
@@ -411,6 +341,17 @@ def _op_entries(M: Multicat, objects: Sequence, max_arity: int) -> list[tuple]:
             for op in M.ops(target, profile)]
 
 
+def _window(M: Multicat, max_arity: int | None, objects: Sequence | None) -> tuple:
+    """``(bound, objects, entries)`` of a validator: the arity bound is
+    ``M``'s own unless given, the object window all of ``M``'s objects
+    unless given, and the entries are :func:`_op_entries` within both."""
+    A = max_arity if max_arity is not None else M.max_arity
+    if A is None:
+        raise ValueError("an arity bound is required")
+    objs = tuple(objects) if objects is not None else M.object_list()
+    return A, objs, _op_entries(M, objs, A)
+
+
 def _by_output(entries: Iterable[tuple]) -> dict:
     """``output -> [(profile, op), ...]`` over ``(output, profile, op)``
     entries, each list in entry order: the slot index of :func:`_inner_tuples`."""
@@ -449,12 +390,8 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     and shared by every instance that needs it (:func:`reports.memo`: a
     composite that raises raises again for each instance).
     """
-    A = max_arity if max_arity is not None else M.max_arity
-    if A is None:
-        raise ValueError("an arity bound is required")
-    objs = tuple(objects) if objects is not None else M.object_list()
+    A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport(getattr(M, "name", "multicat"))
-    entries = _op_entries(M, objs, A)
     by_output = _by_output(entries)
     arity = {op: len(profile) for _, profile, op in entries}
     compose = memo(M.compose)
@@ -540,12 +477,8 @@ def validate_multifunctor(H: Multifunctor, max_arity: int | None = None,
                           objects: Sequence | None = None) -> CheckReport:
     """Check unit, symmetry and composition preservation within the bound."""
     M, N = H.source, H.target
-    A = max_arity if max_arity is not None else M.max_arity
-    if A is None:
-        raise ValueError("an arity bound is required")
-    objs = tuple(objects) if objects is not None else M.object_list()
+    A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport("multifunctor")
-    entries = _op_entries(M, objs, A)
     by_output = _by_output(entries)
 
     for c in objs:
@@ -580,10 +513,7 @@ def validate_multinat(theta: MultiNat, max_arity: int | None = None,
     transformation on every operation within the bound."""
     P, Q = theta.source, theta.target
     M, N = P.source, P.target
-    A = max_arity if max_arity is not None else M.max_arity
-    if A is None:
-        raise ValueError("an arity bound is required")
-    objs = tuple(objects) if objects is not None else M.object_list()
+    _, objs, entries = _window(M, max_arity, objects)
     report = CheckReport("multinat")
 
     for c in objs:
@@ -592,7 +522,7 @@ def validate_multinat(theta: MultiNat, max_arity: int | None = None,
                       (N.output_of(comp), N.profile_of(comp)),
                       (Q.on_obj(c), (P.on_obj(c),)), ("component", c))
 
-    for target, profile, op in _op_entries(M, objs, A):
+    for target, profile, op in entries:
         report.evaluate("naturality",
                         lambda: N.compose(theta.at(target), (P.on_op(op),)),
                         lambda: N.compose(Q.on_op(op), tuple(theta.at(x) for x in profile)),

@@ -207,11 +207,6 @@ class TensorGridView(Multicat):
         else:
             self.objects = None
 
-    def object_list(self) -> tuple:
-        if self.objects is None:
-            raise ComposabilityError(f"{self.name}: factor objects not enumerable")
-        return self.objects
-
     def unit(self, obj: tuple) -> DecompOp:
         return make_decomp(self.factors,
                            tuple(M.unit(c) for M, c in zip(self.factors, obj)),
@@ -266,13 +261,7 @@ class TensorGridView(Multicat):
 
     def compose(self, outer: DecompOp, inners: tuple) -> DecompOp:
         inners = tuple(inners)
-        if len(inners) != self.arity_of(outer):
-            raise ComposabilityError(
-                f"{len(inners)} inner operations for arity {self.arity_of(outer)}")
-        for slot, inner in zip(self.profile_of(outer), inners):
-            if self.output_of(inner) != slot:
-                raise ComposabilityError(
-                    f"inner output {self.output_of(inner)!r} != {slot!r}")
+        self.check_composite(outer, inners)
         if not inners:
             return outer
 

@@ -9,8 +9,10 @@ from mutation import gamma_mutant, sigma_mutant, unit_mutant
 from permcat.endo import EndoOp, endo_multicat
 from permcat.errors import BoundExceededError, ComposabilityError, MalformedStructureError
 from permcat.fixtures import sign_operad, sign_permcat, swap_operad, two_object_multicat
+from permcat.free import FreePermCat
 from permcat.multicat import (
     MultiNat,
+    MulticatView,
     Multifunctor,
     compose_multifunctors,
     endo_operad_of_object,
@@ -21,13 +23,12 @@ from permcat.multicat import (
     multinat_hcomp,
     multinat_vcomp,
     terminal_multicat,
-    underlying_category,
-    validate_category,
     validate_multicat,
     validate_multifunctor,
     validate_multinat,
 )
 from permcat.perms import all_perms, perm_act, profiles
+from permcat.tensor import TensorGridView, tensor_op
 
 MTERM = terminal_multicat(4)
 INITIAL = initial_operad()
@@ -258,18 +259,46 @@ class TestEndoOperad:
             endo_operad_of_object(TWO, "c")
 
 
-class TestUnderlyingCategory:
-    def test_identities_are_units(self):
-        cat = underlying_category(SIGNS)
-        assert cat.identity("*") == SIGNS.unit("*")
+def _unchecked_view(M):
+    """``M`` as a view whose ``compose_fn`` makes no boundary check."""
+    return MulticatView(M.name, M.objects, M.max_arity, M.ops, M.unit, M.output_of,
+                        M.profile_of, M.act, lambda outer, inners: outer)
 
-    def test_initial_gives_one_identity(self):
-        cat = underlying_category(INITIAL)
-        assert cat.morphisms() == ("1",)
 
-    def test_category_validator_passes(self):
-        for M in (SIGNS, TWO, SWAP):
-            assert validate_category(underlying_category(M)).passed
+def _boundary_cases():
+    """``(M, outer, one inner too few, a wrong slot, over the bound or
+    None, wrong-slot message)`` for each backing."""
+    E = endo_multicat(sign_permcat())
+    G = TensorGridView((TWO, SWAP))
+    a, b = G.unit(("a", "*")), G.unit(("b", "*"))
+    return {
+        "table": (TWO, "m", ("ua",), ("ua", "ua"), ("m", "ub"), "'a' != 'b'"),
+        "unchecked-view": (_unchecked_view(TWO), "m", ("ua",), ("ua", "ua"),
+                           ("m", "ub"), "'a' != 'b'"),
+        "endo": (E, E.ops("0", ("1", "1"))[0], (E.unit("1"),),
+                 (E.unit("1"), E.unit("0")), None, "'0' != '1'"),
+        "tensor-grid": (G, tensor_op(G.factors, ("m", "u")), (a,), (a, a), None,
+                        f"{G.output_of(a)!r} != {G.output_of(b)!r}"),
+    }
+
+
+class TestSharedBoundaryRules:
+    @pytest.mark.parametrize("case", sorted(_boundary_cases()))
+    def test_every_backing_refuses_the_same_composites(self, case):
+        M, outer, too_few, wrong_slot, over_bound, slot_message = _boundary_cases()[case]
+        with pytest.raises(ComposabilityError, match=r"^1 inner operations for arity 2$"):
+            M.compose(outer, too_few)
+        with pytest.raises(ComposabilityError) as raised:
+            M.compose(outer, wrong_slot)
+        assert str(raised.value) == f"inner output {slot_message}"
+        if over_bound is not None:
+            with pytest.raises(BoundExceededError, match=r"^arity 3 exceeds bound 2$"):
+                M.compose(outer, over_bound)
+
+    def test_tensor_window_over_an_infinite_factor_is_malformed(self):
+        G = TensorGridView((endo_multicat(FreePermCat(TWO)), TWO))
+        with pytest.raises(MalformedStructureError, match="not enumerable"):
+            G.object_list()
 
 
 class TestMaterialize:

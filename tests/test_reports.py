@@ -190,6 +190,18 @@ def test_only_reports_decides_what_ill_typed_means():
         offenders
 
 
+def test_only_multicat_decides_the_composite_boundary():
+    """The wrong-inner-count and wrong-slot errors of composition are built
+    in ``Multicat.check_composite`` alone, so no backing forks the rule."""
+    phrases = ("inner operations for arity", "inner output")
+    builders = sorted({(path.name, function)
+                       for path in sorted(SRC.glob("*.py"))
+                       for function, node in _nodes(_tree(path))
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and any(phrase in node.value for phrase in phrases)})
+    assert builders == [("multicat.py", "check_composite")], builders
+
+
 def _callee(node):
     """``f`` of a call ``f(...)`` or ``x.f(...)``; None for any other node."""
     func = getattr(node, "func", None)
