@@ -176,15 +176,27 @@ def endo_action(P: NLinearFunctor, mus: tuple):
 
 def decomposable_endo_multifunctor(P: NLinearFunctor) -> Multifunctor:
     """The action of a multilinear functor packaged as a multifunctor on
-    the grid fragment of the endomorphism multicategories."""
+    the grid fragment of the endomorphism multicategories.
+
+    Each action is computed once per raw operation: the ``EndoOp`` itself
+    in the unary case, its components and twist otherwise.  The action
+    reads only those, so the memo is exact, where the canonical key of a
+    grid operation would cost a gauge minimisation per lookup and merge
+    normal forms whose raw actions can differ.  Only values are kept: a call
+    that raises raises again."""
     Es = tuple(endo_multicat(S) for S in P.sources)
     ED = endo_multicat(P.target)
     unary = len(Es) == 1    # the grid of one factor is that factor itself
+    actions = {}
 
     def on_op(op):
-        if unary:
-            return endo_action(P, (op,))
-        return ED.act(endo_action(P, op.components), op.twist)
+        key = op if unary else (op.components, op.twist)
+        action = actions.get(key)
+        if action is None:
+            action = actions[key] = (
+                endo_action(P, (op,)) if unary
+                else ED.act(endo_action(P, op.components), op.twist))
+        return action
 
     def on_obj(obj):
         return P.on_obj((obj,) if unary else obj)

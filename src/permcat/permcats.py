@@ -532,9 +532,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         for gs in mor_tuples:
             if any(S.src(g) != S.tgt(f) for S, f, g in zip(P.sources, fs, gs)):
                 continue
-            report.expect("functor-composition",
-                          P.on_mor(tuple(S.compose(g, f) for S, f, g in zip(P.sources, fs, gs))),
-                          D.compose(P.on_mor(gs), P.on_mor(fs)), (gs, fs))
+            report.evaluate("functor-composition",
+                            lambda: P.on_mor(tuple(S.compose(g, f)
+                                                   for S, f, g in zip(P.sources, fs, gs))),
+                            lambda: D.compose(P.on_mor(gs), P.on_mor(fs)), (gs, fs))
 
     all_strict = True
     all_strong = True
@@ -676,18 +677,20 @@ def validate_nlinear_nat(theta: NLinearNat, objects: Sequence | None = None) -> 
     for fs in itertools.product(*hom_lists):
         X = tuple(S.src(f) for S, f in zip(P.sources, fs))
         Y = tuple(S.tgt(f) for S, f in zip(P.sources, fs))
-        report.expect("naturality",
-                      D.compose(theta.at(Y), P.on_mor(fs)),
-                      D.compose(Q.on_mor(fs), theta.at(X)), (fs,))
+        report.evaluate("naturality",
+                        lambda: D.compose(theta.at(Y), P.on_mor(fs)),
+                        lambda: D.compose(Q.on_mor(fs), theta.at(X)), (fs,))
     for j in range(1, P.arity + 1):
         Cj = P.sources[j - 1]
         for X in obj_tuples:
             for X2 in wins[j - 1]:
-                lhs = D.compose(theta.at(replace_at(X, j, Cj.sum_obj(X[j - 1], X2))),
-                                P.constraint(j, X, X2))
-                rhs = D.compose(Q.constraint(j, X, X2),
-                                D.sum_mor(theta.at(X), theta.at(replace_at(X, j, X2))))
-                report.expect("constraint-compatibility", lhs, rhs, (j, X, X2))
+                report.evaluate(
+                    "constraint-compatibility",
+                    lambda: D.compose(theta.at(replace_at(X, j, Cj.sum_obj(X[j - 1], X2))),
+                                      P.constraint(j, X, X2)),
+                    lambda: D.compose(Q.constraint(j, X, X2),
+                                      D.sum_mor(theta.at(X), theta.at(replace_at(X, j, X2)))),
+                    (j, X, X2))
     return report
 
 

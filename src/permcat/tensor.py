@@ -206,6 +206,7 @@ class TensorGridView(Multicat):
             self.objects = tuple(itertools.product(*(M.object_list() for M in self.factors)))
         else:
             self.objects = None
+        self._composites = {}
 
     def unit(self, obj: tuple) -> DecompOp:
         return make_decomp(self.factors,
@@ -260,7 +261,21 @@ class TensorGridView(Multicat):
                            perm_compose(op.twist, sigma))
 
     def compose(self, outer: DecompOp, inners: tuple) -> DecompOp:
+        """The grid composite, built once per raw normal form of the
+        arguments (components and twists).  The construction reads only
+        those, so the memo is exact; the canonical key would cost a gauge
+        minimisation per lookup and would merge gauge-equivalent forms,
+        whose raw composites, and whether they are grid-aligned at all,
+        can differ.  Only values are kept: a call that raises raises again."""
         inners = tuple(inners)
+        key = (outer.components, outer.twist,
+               tuple((inner.components, inner.twist) for inner in inners))
+        composite = self._composites.get(key)
+        if composite is None:
+            composite = self._composites[key] = self._compose(outer, inners)
+        return composite
+
+    def _compose(self, outer: DecompOp, inners: tuple) -> DecompOp:
         self.check_composite(outer, inners)
         if not inners:
             return outer

@@ -1,9 +1,12 @@
 """Permutative categories, monoidal functors, and the n-linear calculus."""
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from mutation import mutate_field
+from permcat.errors import ComposabilityError, UnsupportedFragmentError
 from permcat.fixtures import (
     NEG,
     POS,
@@ -39,6 +42,7 @@ from permcat.permcats import (
     validate_smf,
 )
 from permcat.perms import Permutation, all_perms, identity_perm, perm_act, perm_compose
+from permcat.reports import render
 
 BOOL = bool_or_permcat()
 Z3 = zmod_permcat(3)
@@ -228,6 +232,74 @@ class TestNLinear:
                            lambda X: f"{MULT.on_obj(X)}:{NEG if X == ('0', '1') else POS}")
         report = validate_nlinear_nat(theta)
         assert "unity" in report.violated_axioms()
+
+
+class WithheldComposite:
+    """``C`` with ``compose`` raising ``error`` on the one pair ``pair``."""
+
+    def __init__(self, C, pair, error):
+        self.C, self.pair, self.error = C, pair, error
+
+    def __getattr__(self, name):
+        return getattr(self.C, name)
+
+    def compose(self, g, f):
+        if (g, f) == self.pair:
+            raise self.error("composite withheld")
+        return self.C.compose(g, f)
+
+
+WITHHELD = ("1:-", "1:+")
+
+
+def sign_at_one_one(X):
+    return f"{MULT.on_obj(X)}:{NEG if X == ('1', '1') else POS}"
+
+
+def withheld_reports(error) -> list:
+    P = replace(MULT, target=WithheldComposite(MULT.target, WITHHELD, error))
+    return [validate_nlinear(P), validate_nlinear_nat(NLinearNat(P, P, sign_at_one_one))]
+
+
+class TestWithheldComposite:
+    """A leg whose composite raises leaves its instance unknown or counts
+    it ill-typed, in every axiom; the validator itself never raises."""
+
+    def test_unknown_and_ill_typed_instances(self):
+        clean = [validate_nlinear(MULT),
+                 validate_nlinear_nat(NLinearNat(MULT, MULT, sign_at_one_one))]
+        ill_typed = withheld_reports(ComposabilityError)
+        unknown = withheld_reports(UnsupportedFragmentError)
+        for ok, bad, skipped in zip(clean, ill_typed, unknown):
+            assert ok.passed and skipped.passed
+            counts = Counter({c.axiom: c.instances for c in ok.checks})
+            assert Counter({c.axiom: c.instances for c in bad.checks}) == counts
+            assert all(v.witness.startswith("(ill-typed, ") for v in bad.violations())
+            withheld = Counter(v.axiom for v in bad.violations())
+            assert Counter({c.axiom: c.instances for c in skipped.checks}) == +(counts - withheld)
+        assert Counter(v.axiom for v in ill_typed[1].violations())["constraint-compatibility"] > 0
+
+    def test_ill_typed_witnesses_are_the_instance_witnesses(self):
+        def composable(fs, gs):
+            return all(S.src(g) == S.tgt(f) for S, f, g in zip(MULT.sources, fs, gs))
+
+        homs = [[f for x in S.object_list() for y in S.object_list() for f in S.hom(x, y)]
+                for S in MULT.sources]
+        pairs = list(itertools.product(*homs))
+        expected = [render(("ill-typed", gs, fs)) for fs in pairs for gs in pairs
+                    if composable(fs, gs) and (MULT.on_mor(gs), MULT.on_mor(fs)) == WITHHELD]
+        assert expected
+        functor, nat = withheld_reports(ComposabilityError)
+        assert [v.witness for v in functor.check("functor-composition").violations] == expected
+
+        def legs(fs):
+            X = tuple(S.src(f) for S, f in zip(MULT.sources, fs))
+            Y = tuple(S.tgt(f) for S, f in zip(MULT.sources, fs))
+            return [(sign_at_one_one(Y), MULT.on_mor(fs)), (MULT.on_mor(fs), sign_at_one_one(X))]
+
+        expected = [render(("ill-typed", fs)) for fs in pairs if WITHHELD in legs(fs)]
+        assert expected
+        assert [v.witness for v in nat.check("naturality").violations] == expected
 
 
 class TestSigmaAction:

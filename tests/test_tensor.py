@@ -1,9 +1,14 @@
 """The grid fragment of the tensor product and the comparison functor S."""
 import itertools
+from collections import Counter
 
 import pytest
 
-from permcat.errors import MalformedStructureError, UnsupportedFragmentError
+from permcat.errors import (
+    ComposabilityError,
+    MalformedStructureError,
+    UnsupportedFragmentError,
+)
 from permcat.fixtures import sign_operad, swap_operad, two_object_multicat
 from permcat.free import FreeMorphism, FreePermCat, free_identity, free_on_multifunctor
 from permcat.multicat import (
@@ -30,7 +35,9 @@ from permcat.perms import (
 )
 from permcat.shipped import SHIPPED
 from permcat.tensor import (
+    TensorGridView,
     braid_multifunctor,
+    check_s_suite,
     f_multi,
     f_multi_nat,
     grid_object,
@@ -147,12 +154,33 @@ class TestGridComposition:
         outer = tensor_op((SIGNS2, SIGNS2), ("+1", "+2"))
         good = tensor_op((SIGNS2, SIGNS2), ("+1", "+1"))
         bad = tensor_op((SIGNS2, SIGNS2), ("-1", "+1"))
-        with pytest.raises(UnsupportedFragmentError):
-            view.compose(outer, (good, bad))
+        # a failed composite is not kept: every repeat raises again
+        for _ in range(3):
+            with pytest.raises(UnsupportedFragmentError):
+                view.compose(outer, (good, bad))
+            with pytest.raises(ComposabilityError):
+                view.compose(outer, (good,))
+        assert view._composites == {}
         # distinct slots in the same factor may differ: that is aligned
         outer2 = tensor_op((SIGNS2, SIGNS2), ("+2", "+1"))
         assert view.compose(outer2, (good, bad)) == tensor_op(
             (SIGNS2, SIGNS2), ("-2", "+1"))
+
+    def test_memo_keys_by_raw_normal_form(self):
+        # the gauge-equivalent pair of the canonical_key doctest: equal as
+        # operations, but with different raw composites
+        Ms = (SWAP, SWAP)
+        slid = make_decomp(Ms, ("q", "p"), identity_perm(4))
+        twisted = make_decomp(Ms, ("p", "p"), Permutation((2, 1, 4, 3)))
+        assert slid == twisted
+        view = tensor_grid(Ms)
+        units = (view.unit(("*", "*")),) * 4
+        composites = [view.compose(outer, units) for outer in (slid, twisted)]
+        for outer, composite in zip((slid, twisted), composites):
+            fresh = tensor_grid(Ms).compose(outer, units)
+            assert (composite.components, composite.twist) == (fresh.components, fresh.twist)
+        assert composites[0].components != composites[1].components
+        assert len(view._composites) == 2
 
     @pytest.mark.parametrize("factors", [
         (SIGNS2, TWO), (SWAP, SIGNS2),
@@ -444,3 +472,36 @@ class TestCanonicalKey:
         assert op.components == ("p", "m")
         with pytest.raises(MalformedStructureError):
             op == tensor_op((SWAP, TWO), ("q", "m"))
+
+
+def raw_key(outer, inners) -> tuple:
+    return (outer.components, outer.twist,
+            tuple((inner.components, inner.twist) for inner in inners))
+
+
+class TestCompositeCounts:
+    def test_check_s_builds_each_composite_once_per_view(self, monkeypatch):
+        asked, built = Counter(), Counter()
+        compose, construct = TensorGridView.compose, TensorGridView._compose
+
+        def counting_compose(self, outer, inners):
+            asked[self, raw_key(outer, tuple(inners))] += 1
+            return compose(self, outer, inners)
+
+        def counting_construct(self, outer, inners):
+            built[self, raw_key(outer, inners)] += 1
+            return construct(self, outer, inners)
+
+        monkeypatch.setattr(TensorGridView, "compose", counting_compose)
+        monkeypatch.setattr(TensorGridView, "_compose", counting_construct)
+        report = check_s_suite((SWAP, TWO), 1)
+        assert report.passed, report.summary()
+        assert {c.axiom: c.instances for c in report.checks} == {
+            "preserves-identities": 6, "preserves-composition": 6,
+            "functor-typing": 6, "functor-identities": 6, "functor-composition": 6,
+            "unity": 24, "constraint-typing": 30, "constraint-unity": 24,
+            "constraint-naturality": 30, "constraint-associativity": 78,
+            "constraint-symmetry": 30, "constraint-2x2": 72, "two-naturality": 24}
+        assert sum(asked.values()) == 528
+        assert built == Counter(dict.fromkeys(asked, 1))
+        assert len(built) == 4

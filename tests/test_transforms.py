@@ -1,6 +1,11 @@
 """Unit/counit comparisons, triangle identities, marking, and the
 counit's non-naturality witness."""
+from collections import Counter
+from dataclasses import replace
+
 import pytest
+
+from permcat import endo, transforms
 
 from permcat.endo import EndoOp, endo_multicat
 from permcat.fixtures import (
@@ -256,9 +261,35 @@ class TestCounterexample:
         assert P.constraint(1, ("1", "1"), "1") == "0:-"
         counts = [(c.axiom, c.instances, len(c.violations)) for c in epsilon_square(P).checks]
         assert counts == [("square", 9801, 460)]
-        strict = epsilon_square(sign_multiplication(POS, POS))
-        counts = [(c.axiom, c.instances, len(c.violations)) for c in strict.checks]
-        assert counts == [("square", 9801, 0)]
+
+    def test_strict_square_acts_once_per_operation(self, monkeypatch):
+        asked, acted = Counter(), Counter()
+        action, induced = endo.endo_action, transforms.decomposable_endo_multifunctor
+
+        def counting_action(P, mus):
+            acted[mus] += 1
+            return action(P, mus)
+
+        def recording_induced(P):
+            F = induced(P)
+
+            def on_op(op):
+                asked[op.components, op.twist] += 1
+                return F.on_op(op)
+
+            return replace(F, op_map=on_op)
+
+        monkeypatch.setattr(endo, "endo_action", counting_action)
+        monkeypatch.setattr(transforms, "decomposable_endo_multifunctor", recording_induced)
+        # two runs in one process: each builds its own memo, so the second
+        # makes exactly the calls of the first
+        for _ in range(2):
+            asked.clear()
+            acted.clear()
+            strict = epsilon_square(sign_multiplication(POS, POS))
+            counts = [(c.axiom, c.instances, len(c.violations)) for c in strict.checks]
+            assert counts == [("square", 9801, 0)]
+            assert sum(acted.values()) == len(asked) == 196
 
 
 class TestMarking:
