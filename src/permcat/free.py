@@ -4,7 +4,8 @@ Objects are finite sequences of base objects; a morphism is an index map
 of finite ordinals together with one base operation per target position,
 whose inputs are the source entries over the corresponding fiber.
 Composition composes fiberwise and corrects the input order with the
-positional permutations from :func:`permcat.perms.sigma_kgf`.
+positional permutations from :func:`permcat.perms.sigma_kgf`, acting
+only where the fiber concatenation is not already ascending.
 
 The category is never materialized: :class:`FreePermCat` is a view with
 on-demand composition and hom enumeration under an explicit length bound.
@@ -21,6 +22,7 @@ from .permcats import MonoidalNat, SymMonFunctor
 from .perms import (
     FinMap,
     Profile,
+    fiber_concat,
     finmap_compose,
     finmap_direct_sum,
     identity_map,
@@ -77,8 +79,8 @@ def free_compose(M: Multicat, g_mor: FreeMorphism, f_mor: FreeMorphism) -> FreeM
     for k in range(1, len(g_mor.target) + 1):
         inner = tuple(f_mor.ops[j - 1] for j in g.preimage(k))
         theta = M.compose(g_mor.ops[k - 1], inner)
-        correction = sigma_kgf(f, g, k)
-        ops.append(theta if correction.is_identity() else M.act(theta, correction))
+        concat = fiber_concat(f, g, k)
+        ops.append(theta if concat == sorted(concat) else M.act(theta, sigma_kgf(f, g, k)))
     return FreeMorphism(f_mor.source, g_mor.target, finmap_compose(g, f), tuple(ops))
 
 

@@ -195,26 +195,6 @@ class MulticatView(Multicat):
         return self.compose_fn(outer, inners)
 
 
-def materialize(M: Multicat, name: str, objects: Sequence, max_arity: int) -> FinMulticat:
-    """Table-backed snapshot of a view over a finite window."""
-    entries = _op_entries(M, objects, max_arity)
-    operations = {op: (target, profile) for target, profile, op in entries}
-    by_output = _by_output(entries)
-    units = {obj: M.unit(obj) for obj in objects}
-    sigma = {}
-    gamma = {}
-    for op, (target, profile) in operations.items():
-        for perm in all_perms(len(profile)):
-            sigma[op, perm.images] = M.act(op, perm)
-    for op, (target, profile) in operations.items():
-        for inners in _inner_tuples(by_output, profile, max_arity):
-            try:
-                gamma[op, inners] = M.compose(op, inners)
-            except BoundExceededError:
-                pass
-    return FinMulticat(name, tuple(objects), max_arity, operations, units, sigma, gamma)
-
-
 def terminal_multicat(max_arity: int) -> FinMulticat:
     """One object, one n-ary operation for each arity within the bound."""
     obj = "*"
@@ -240,25 +220,6 @@ def initial_operad(max_arity: int = 4) -> FinMulticat:
     gamma = {("1", ("1",)): "1"}
     return FinMulticat("initial", (obj,), max_arity,
                        operations, {obj: "1"}, sigma, gamma)
-
-
-def endo_operad_of_object(M: Multicat, c) -> MulticatView:
-    """The one-object operad of all operations of ``M`` with constant
-    boundary at ``c``; structure inherited from ``M``."""
-    if M.objects is not None and c not in M.object_list():
-        raise MalformedStructureError(f"unknown object {c!r}")
-
-    def ops_fn(target, profile):
-        if target != c or any(x != c for x in profile):
-            return ()
-        return M.ops(c, profile)
-
-    return MulticatView(
-        name=f"End({c})", objects=(c,), max_arity=M.max_arity,
-        ops_fn=ops_fn, unit_fn=lambda obj: M.unit(c),
-        output_fn=lambda op: c,
-        profile_fn=lambda op: M.profile_of(op),
-        act_fn=M.act, compose_fn=M.compose)
 
 
 @dataclass(frozen=True)

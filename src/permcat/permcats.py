@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import BoundExceededError, ComposabilityError, MalformedStructureError
 from .perms import Permutation, Profile, perm_act
-from .reports import CheckReport, memo
+from .reports import CheckReport
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,13 @@ def validate_permcat(C, objects: Sequence | None = None,
     with a leg beyond the bound of a truncated view are not counted;
     ill-typed components (a leg that cannot even be composed) are
     violations.
+
+    The window morphisms are numbered once, and each pair of them is
+    composed at most once per call: the composite is kept under the index
+    pair, as the window's own morphism when it is one, so the next
+    composition of an associativity leg is a lookup too.  Only values are
+    kept; a composition that raises raises again for every instance that
+    needs it, so each such instance is unknown or ill-typed on its own.
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
@@ -145,25 +152,51 @@ def validate_permcat(C, objects: Sequence | None = None,
     heavy = (mors if interchange_objects is None else
              [f for x in heavy_objs for y in heavy_objs for f in C.hom(x, y)])
 
+    index = {f: i for i, f in enumerate(dict.fromkeys(mors + heavy))}
+    window = list(index)
+    composites = {}
+
+    def numbered(f) -> tuple:
+        """``f`` with its window index, ``None`` outside the window."""
+        return f, index.get(f)
+
+    def comp(g: tuple, f: tuple) -> tuple:
+        """``g`` after ``f`` on numbered morphisms, numbered."""
+        (gv, i), (fv, j) = g, f
+        if i is None or j is None:
+            return C.compose(gv, fv), None
+        hit = composites.get((i, j))
+        if hit is None:
+            gf = C.compose(gv, fv)
+            k = index.get(gf)
+            hit = composites[i, j] = (gf, None) if k is None else (window[k], k)
+        return hit
+
+    def compose(g, f):
+        return comp(numbered(g), numbered(f))[0]
+
+    def by_source(numbered_mors: list) -> dict:
+        groups = {}
+        for f in numbered_mors:
+            groups.setdefault(C.src(f[0]), []).append(f)
+        return groups
+
     for x in objs:
         i = C.identity(x)
         report.expect("identity-typing", (C.src(i), C.tgt(i)), (x, x), ("id", x))
     for f in mors:
-        report.evaluate("category-unity", lambda: C.compose(C.identity(C.tgt(f)), f),
+        report.evaluate("category-unity", lambda: compose(C.identity(C.tgt(f)), f),
                         lambda: f, ("left", f))
-        report.evaluate("category-unity", lambda: C.compose(f, C.identity(C.src(f))),
+        report.evaluate("category-unity", lambda: compose(f, C.identity(C.src(f))),
                         lambda: f, ("right", f))
-    for f in mors:
-        for g in mors:
-            if C.src(g) != C.tgt(f):
-                continue
-            gf = memo(lambda: C.compose(g, f))
-            for h in mors:
-                if C.src(h) != C.tgt(g):
-                    continue
+    numbered_mors = [numbered(f) for f in mors]
+    after = by_source(numbered_mors)
+    for f in numbered_mors:
+        for g in after.get(C.tgt(f[0]), ()):
+            for h in after.get(C.tgt(g[0]), ()):
                 report.evaluate("category-associativity",
-                                lambda: C.compose(h, gf()),
-                                lambda: C.compose(C.compose(h, g), f), (h, g, f))
+                                lambda: comp(h, comp(g, f))[0],
+                                lambda: comp(comp(h, g), f)[0], (h[0], g[0], f[0]))
 
     for x in objs:
         report.expect("sum-unity", C.sum_obj(C.unit, x), x, ("left", x))
@@ -185,18 +218,15 @@ def validate_permcat(C, objects: Sequence | None = None,
                       (C.src(C.sum_mor(f, g)), C.tgt(C.sum_mor(f, g))),
                       (C.sum_obj(C.src(f), C.src(g)), C.sum_obj(C.tgt(f), C.tgt(g))),
                       ("sum", f, g))
-    for f, g in itertools.product(heavy, repeat=2):
-        for f2 in heavy:
-            if C.src(f2) != C.tgt(f):
-                continue
-            f2f = memo(lambda: C.compose(f2, f))
-            for g2 in heavy:
-                if C.src(g2) != C.tgt(g):
-                    continue
+    numbered_heavy = [numbered(f) for f in heavy]
+    heavy_after = by_source(numbered_heavy)
+    for f, g in itertools.product(numbered_heavy, repeat=2):
+        for f2 in heavy_after.get(C.tgt(f[0]), ()):
+            for g2 in heavy_after.get(C.tgt(g[0]), ()):
                 report.evaluate("sum-functoriality",
-                                lambda: C.sum_mor(f2f(), C.compose(g2, g)),
-                                lambda: C.compose(C.sum_mor(f2, g2), C.sum_mor(f, g)),
-                                ("interchange", f2, f, g2, g))
+                                lambda: C.sum_mor(comp(f2, f)[0], comp(g2, g)[0]),
+                                lambda: compose(C.sum_mor(f2[0], g2[0]), C.sum_mor(f[0], g[0])),
+                                ("interchange", f2[0], f[0], g2[0], g[0]))
     for f, g, h in itertools.product(heavy, repeat=3):
         report.expect("sum-associativity",
                       C.sum_mor(C.sum_mor(f, g), h), C.sum_mor(f, C.sum_mor(g, h)),
@@ -207,7 +237,7 @@ def validate_permcat(C, objects: Sequence | None = None,
         report.expect("symmetry-typing",
                       (C.src(s), C.tgt(s)), (C.sum_obj(x, y), C.sum_obj(y, x)), (x, y))
         report.evaluate("symmetry-involution",
-                        lambda: C.compose(C.xi(y, x), s),
+                        lambda: compose(C.xi(y, x), s),
                         lambda: C.identity(C.sum_obj(x, y)), (x, y))
     for x in objs:
         report.expect("unit-symmetry", C.xi(x, C.unit), C.identity(x), ("right", x))
@@ -215,14 +245,14 @@ def validate_permcat(C, objects: Sequence | None = None,
     for f, g in itertools.product(mors, repeat=2):
         report.evaluate(
             "symmetry-naturality",
-            lambda: C.compose(C.xi(C.tgt(f), C.tgt(g)), C.sum_mor(f, g)),
-            lambda: C.compose(C.sum_mor(g, f), C.xi(C.src(f), C.src(g))),
+            lambda: compose(C.xi(C.tgt(f), C.tgt(g)), C.sum_mor(f, g)),
+            lambda: compose(C.sum_mor(g, f), C.xi(C.src(f), C.src(g))),
             (f, g))
     for x, y, z in itertools.product(objs, repeat=3):
         report.evaluate(
             "hexagon",
             lambda: C.xi(x, C.sum_obj(y, z)),
-            lambda: C.compose(
+            lambda: compose(
                 C.sum_mor(C.identity(y), C.xi(x, z)),
                 C.sum_mor(C.xi(x, y), C.identity(z))),
             (x, y, z))
@@ -287,7 +317,9 @@ def smf_compose(Q: SymMonFunctor, P: SymMonFunctor) -> SymMonFunctor:
 
 
 def _is_invertible(C, f) -> bool | None:
-    """Inverse search; ``None`` when the relevant hom is not enumerable."""
+    """Inverse search; ``None`` when the relevant hom is not enumerable.
+    A composition that raises is raised: validators call it through
+    :meth:`CheckReport.attempt`."""
     if C.src(f) == C.tgt(f) and f == C.identity(C.src(f)):
         return True
     checker = getattr(C, "is_invertible", None)
@@ -366,9 +398,11 @@ def validate_smf(P: SymMonFunctor, objects: Sequence | None = None) -> CheckRepo
             c = P.monoidal(x, y)
             report.expect("flag-consistency", c, D.identity(D.src(c)), ("m2-flag", x, y))
     if P.strong:
-        for label, value in [("m0-invertible", _is_invertible(D, m0))] + [
-                (("m2-invertible", x, y), _is_invertible(D, P.monoidal(x, y)))
+        for label, c in [("m0-invertible", m0)] + [
+                (("m2-invertible", x, y), P.monoidal(x, y))
                 for x, y in itertools.product(objs, repeat=2)]:
+            witness = label if isinstance(label, tuple) else (label,)
+            value = report.attempt("flag-consistency", lambda: _is_invertible(D, c), witness)
             if value is not None:
                 report.expect("flag-consistency", value, True, label)
     return report
@@ -503,7 +537,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     """All five multilinearity axioms, exhaustively over object windows.
 
     ``objects`` is one window per source category.  Reports the
-    strong/strict classification of the constraint components.
+    strong/strict classification of the constraint components.  An inverse
+    search for that classification which is beyond the bound leaves its
+    component unclassified; one that is ill-typed is also a counted
+    ``constraint-invertibility`` violation, the only instances of that check.
     """
     D = P.target
     report = CheckReport("n-linear-functor")
@@ -553,7 +590,8 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                 c = P.constraint(j, X, X2)
                 if not (c == D.identity(D.src(c))):
                     all_strict = False
-                if _is_invertible(D, c) is False:
+                if report.attempt("constraint-invertibility", lambda: _is_invertible(D, c),
+                                  (j, X, X2)) is False:
                     all_strong = False
                 report.expect("constraint-typing",
                               (D.src(c), D.tgt(c)),

@@ -302,23 +302,34 @@ def product_map(maps: Sequence[FinMap]) -> FinMap:
     return FinMap(dom, cod, images)
 
 
+def fiber_concat(f: FinMap, g: FinMap, k: int) -> list[int]:
+    """The fiberwise-ordered concatenation ``(+)_{j in g^{-1}(k)} f^{-1}(j)``
+    of source indices; sorted ascending it is ``(gf)^{-1}(k)``.
+
+    >>> fiber_concat(FinMap(3, 2, (1, 2, 1)), terminal_map(2), 1)
+    [1, 3, 2]
+    """
+    if f.codomain != g.domain:
+        raise ComposabilityError("codomain(f) != domain(g)")
+    if not 1 <= k <= g.codomain:
+        raise ValueError(f"k={k} out of range 1..{g.codomain}")
+    return [i for j in g.preimage(k) for i in f.preimage(j)]
+
+
 def sigma_kgf(f: FinMap, g: FinMap, k: int) -> Permutation:
     """The unique positional permutation carrying the fiberwise-ordered
     concatenation ``(+)_{j in g^{-1}(k)} x_{f^{-1}(j)}`` to
     ``x_{(gf)^{-1}(k)}`` under its right action.
 
     ``(gf)^{-1}(k)`` is that concatenation sorted ascending, so the result
-    is the (1-indexed) argsort of the concatenation; ``gf`` is never built.
-    Degree ``|(gf)^{-1}(k)|``; computed over index positions.
+    is the (1-indexed) argsort of :func:`fiber_concat`; ``gf`` is never
+    built.  It is the identity exactly when the concatenation is already
+    ascending.  Degree ``|(gf)^{-1}(k)|``; computed over index positions.
 
     >>> sigma_kgf(FinMap(3, 2, (1, 2, 1)), terminal_map(2), 1).images
     (1, 3, 2)
     """
-    if f.codomain != g.domain:
-        raise ComposabilityError("codomain(f) != domain(g)")
-    if not 1 <= k <= g.codomain:
-        raise ValueError(f"k={k} out of range 1..{g.codomain}")
-    concat = [i for j in g.preimage(k) for i in f.preimage(j)]
+    concat = fiber_concat(f, g, k)
     order = sorted(range(len(concat)), key=concat.__getitem__)
     return Permutation(tuple(pos + 1 for pos in order))
 

@@ -5,10 +5,10 @@ are data, not exceptions; a report passes iff it has none.  Witness
 rendering is deterministic (no set iteration, keys sorted) so identical
 inputs produce byte-identical serialized reports.
 
-:meth:`CheckReport.evaluate` is the one place that decides what an
-exception raised by an axiom leg means: a leg outside the bound or the
-supported fragment makes the instance unknown (not counted), an ill-typed
-leg is a counted violation.
+:meth:`CheckReport.evaluate` and :meth:`CheckReport.attempt` are the one
+place that decides what an exception raised by an axiom leg means: a leg
+outside the bound or the supported fragment makes the instance unknown
+(not counted), an ill-typed leg is a counted violation.
 """
 from __future__ import annotations
 
@@ -132,6 +132,19 @@ class CheckReport:
             self.violation(axiom, ("ill-typed", *witness))
             return
         self.expect(axiom, agree, True, witness)
+
+    def attempt(self, axiom: str, thunk, witness: tuple):
+        """The value of the zero-argument ``thunk``, or ``None`` when it
+        raises, for a computation whose result a validator inspects rather
+        than compares.  Errors mean what they mean in :meth:`evaluate`."""
+        try:
+            return thunk()
+        except UNKNOWN:
+            return None
+        except ILL_TYPED:
+            self.count(axiom)
+            self.violation(axiom, ("ill-typed", *witness))
+            return None
 
     def absorb(self, sub: "CheckReport", prefix: str = "") -> None:
         """Fold ``sub`` in: checks summed by ``prefix`` + name in first-seen

@@ -43,6 +43,7 @@ GOLDEN_COMMANDS = {
     "free-two-object-hom.txt": ["free", doc("two-object.json"),
                                 "--hom", "a,b", "a"],
     "free-initial-validate.txt": ["free", doc("initial.json"), "--max-len", "3"],
+    "free-mterm4-validate.txt": ["free", doc("mterm4.json"), "--max-len", "3"],
     "endo-sign-ops.txt": ["endo", doc("sign.json"), "--ops", "0", "1,1"],
     "endo-bool-validate.txt": ["endo", doc("bool-or.json"), "--max-arity", "2"],
     "tensor-s-images.txt": ["tensor-s", doc("sign-operad2.json"),

@@ -15,11 +15,9 @@ from permcat.multicat import (
     MulticatView,
     Multifunctor,
     compose_multifunctors,
-    endo_operad_of_object,
     identity_multifunctor,
     identity_multinat,
     initial_operad,
-    materialize,
     multinat_hcomp,
     multinat_vcomp,
     terminal_multicat,
@@ -239,26 +237,6 @@ class TestTerminalAndInitial:
         assert list(INITIAL.operations) == ["1"]
 
 
-class TestEndoOperad:
-    def test_endo_of_terminal_is_terminal(self):
-        E = endo_operad_of_object(MTERM, "*")
-        for n in range(5):
-            assert E.ops("*", ("*",) * n) == MTERM.ops("*", ("*",) * n)
-
-    def test_unary_contains_unit(self):
-        E = endo_operad_of_object(TWO, "a")
-        assert "ua" in E.ops("a", ("a",))
-
-    def test_endo_view_validates(self):
-        for M, c in [(SIGNS, "*"), (TWO, "a"), (TWO, "b")]:
-            report = validate_multicat(endo_operad_of_object(M, c))
-            assert report.passed, report.summary()
-
-    def test_unknown_object(self):
-        with pytest.raises(MalformedStructureError):
-            endo_operad_of_object(TWO, "c")
-
-
 def _unchecked_view(M):
     """``M`` as a view whose ``compose_fn`` makes no boundary check."""
     return MulticatView(M.name, M.objects, M.max_arity, M.ops, M.unit, M.output_of,
@@ -299,18 +277,6 @@ class TestSharedBoundaryRules:
         G = TensorGridView((endo_multicat(FreePermCat(TWO)), TWO))
         with pytest.raises(MalformedStructureError, match="not enumerable"):
             G.object_list()
-
-
-class TestMaterialize:
-    def test_roundtrip_of_table(self):
-        table = materialize(SIGNS, "copy", SIGNS.objects, 2)
-        assert validate_multicat(table).passed
-        assert table.ops("*", ("*", "*")) == SIGNS.ops("*", ("*", "*"))
-
-    def test_view_window_agrees_with_table(self):
-        E = endo_operad_of_object(TWO, "a")
-        table = materialize(E, "endo-a", ("a",), 2)
-        assert validate_multicat(table).passed
 
 
 def unique_to_terminal(M, target=MTERM):

@@ -6,7 +6,12 @@ from dataclasses import replace
 import pytest
 
 from mutation import mutate_field
-from permcat.errors import ComposabilityError, UnsupportedFragmentError
+from permcat.errors import (
+    BoundExceededError,
+    ComposabilityError,
+    MalformedStructureError,
+    UnsupportedFragmentError,
+)
 from permcat.fixtures import (
     NEG,
     POS,
@@ -17,6 +22,8 @@ from permcat.fixtures import (
     super_sign_permcat,
     zmod_permcat,
 )
+from permcat.free import FreePermCat
+from permcat.multicat import terminal_multicat
 from permcat.permcats import (
     MonoidalNat,
     NLinearFunctor,
@@ -235,15 +242,18 @@ class TestNLinear:
 
 
 class WithheldComposite:
-    """``C`` with ``compose`` raising ``error`` on the one pair ``pair``."""
+    """``C`` with ``compose`` counting its calls per pair and raising
+    ``error`` on the one pair ``pair``."""
 
-    def __init__(self, C, pair, error):
+    def __init__(self, C, pair=None, error=None):
         self.C, self.pair, self.error = C, pair, error
+        self.calls = Counter()
 
     def __getattr__(self, name):
         return getattr(self.C, name)
 
     def compose(self, g, f):
+        self.calls[g, f] += 1
         if (g, f) == self.pair:
             raise self.error("composite withheld")
         return self.C.compose(g, f)
@@ -300,6 +310,77 @@ class TestWithheldComposite:
         expected = [render(("ill-typed", fs)) for fs in pairs if WITHHELD in legs(fs)]
         assert expected
         assert [v.witness for v in nat.check("naturality").violations] == expected
+
+    @pytest.mark.parametrize("error", [ComposabilityError, MalformedStructureError,
+                                       BoundExceededError, UnsupportedFragmentError])
+    def test_inverse_search_never_escapes(self, error):
+        # the strong/strict classification searches for inverses of the
+        # constraint components; that search composes the withheld pair
+        P = replace(MULT, target=WithheldComposite(MULT.target, ("0:+", "0:-"), error))
+        smf = replace(twisted_identity_smf(SIGN, ("1", "1")), strong=True)
+        Q = replace(smf, target=WithheldComposite(SIGN, ("0:-", "0:-"), error))
+        functor, monoidal = validate_nlinear(P), validate_smf(Q)
+        clean = validate_smf(smf).check("flag-consistency")
+        flags = monoidal.check("flag-consistency")
+        assert functor.metadata["classification"] == "strong"
+        if error in (ComposabilityError, MalformedStructureError):
+            invertibility = functor.check("constraint-invertibility")
+            assert invertibility.instances == 1
+            assert [v.witness for v in invertibility.violations] == ["(ill-typed, 1, (1, 1), 1)"]
+            assert flags.instances == clean.instances
+            assert [v.witness for v in flags.violations] == ["(ill-typed, m2-invertible, 1, 1)"]
+        else:
+            assert "constraint-invertibility" not in [c.axiom for c in functor.checks]
+            assert functor.passed and monoidal.passed
+            assert flags.instances == clean.instances - 1
+
+
+MTERM3_FREE = FreePermCat(terminal_multicat(3), partial_homs=True)
+WINDOW = MTERM3_FREE.enumerate_objects(2)
+WINDOW_COUNTS = {
+    "identity-typing": 3, "category-unity": 22, "category-associativity": 211,
+    "sum-unity": 6, "sum-associativity": 1358, "sum-functoriality": 2218,
+    "sum-unity-morphisms": 22, "sum-typing": 121, "symmetry-typing": 9,
+    "symmetry-involution": 9, "unit-symmetry": 6, "symmetry-naturality": 121,
+    "hexagon": 27}
+
+
+class TestWindowMemo:
+    """``validate_permcat`` composes each pair of window morphisms at most
+    once per call, and a pair that raises raises for every instance."""
+
+    MORS = [f for x in WINDOW for y in WINDOW for f in MTERM3_FREE.hom(x, y)]
+
+    def test_each_window_pair_composed_once(self):
+        C = WithheldComposite(MTERM3_FREE)
+        report = validate_permcat(C, objects=WINDOW)
+        assert report.passed, report.summary()
+        assert {c.axiom: c.instances for c in report.checks} == WINDOW_COUNTS
+        window_calls = {pair: n for pair, n in C.calls.items()
+                        if pair[0] in self.MORS and pair[1] in self.MORS}
+        assert set(window_calls.values()) == {1}
+        assert set(window_calls) == {(g, f) for f in self.MORS for g in self.MORS
+                                     if C.src(g) == C.tgt(f)}
+
+    def test_withheld_window_pair_is_ill_typed_in_every_instance(self):
+        F = MTERM3_FREE
+        pair = (F.hom(("*", "*"), ("*",))[0], F.hom(("*",), ("*", "*"))[0])
+        C = WithheldComposite(F, pair, MalformedStructureError)
+        report = validate_permcat(C, objects=WINDOW)
+        assert {c.axiom: c.instances for c in report.checks} == WINDOW_COUNTS
+
+        # the category-associativity instances (h, g, f) in report order
+        # whose legs ask for the withheld pair
+        mors = self.MORS
+        expected = [render(("ill-typed", h, g, f))
+                    for f in mors for g in mors if F.src(g) == F.tgt(f)
+                    for h in mors if F.src(h) == F.tgt(g)
+                    if pair in [(g, f), (h, F.compose(g, f)), (h, g), (F.compose(h, g), f)]]
+        assert expected
+        associativity = report.check("category-associativity").violations
+        assert [v.witness for v in associativity] == expected
+        assert all(v.witness.startswith("(ill-typed, ") for v in report.violations())
+        assert C.calls[pair] == len(report.violations())
 
 
 class TestSigmaAction:
