@@ -13,6 +13,7 @@ view operations are structured values with value equality.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -33,7 +34,7 @@ from .perms import (
     perm_compose,
     profiles,
 )
-from .reports import CheckReport, memo
+from .reports import CheckReport
 
 
 class Multicat:
@@ -347,89 +348,142 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     missing table entry or a boundary mismatch) is a counted violation
     witnessed ``ill-typed``.
 
-    Each distinct ``(outer, inners)`` composite is evaluated once per call
-    and shared by every instance that needs it (:func:`reports.memo`: a
-    composite that raises raises again for each instance).
+    The window operations are numbered once, and each composite and each
+    action of them is computed at most once per call: it is kept under the
+    indices of its operands (and the images of the permutation), as the
+    window's own operation with its index when it is one, so the next
+    composition or action of a leg is a lookup too.  An operand outside
+    the window is composed or acted on by value.  Only values are kept; a
+    composite or action that raises raises again for every instance that
+    needs it, so each such instance is unknown or ill-typed on its own.
     """
     A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport(getattr(M, "name", "multicat"))
-    by_output = _by_output(entries)
-    arity = {op: len(profile) for _, profile, op in entries}
-    compose = memo(M.compose)
+    ops = [op for _, _, op in entries]
+    index = {}
+    for i, op in enumerate(ops):
+        index.setdefault(op, i)
+    window = [(op, index[op]) for op in ops]
+    by_output = _by_output((target, profile, index[op]) for target, profile, op in entries)
+    arity = [len(profile) for _, profile, _ in entries]
+    perms = functools.cache(lambda n: list(all_perms(n)))
+    composites = {}
+    actions = {}
+
+    def numbered(op) -> tuple:
+        """``op`` with its window index: the window's own pair when ``op``
+        is a window operation, ``(op, None)`` otherwise."""
+        i = index.get(op)
+        return (op, None) if i is None else window[i]
+
+    def values(js: tuple) -> tuple:
+        return tuple(map(ops.__getitem__, js))
+
+    def composite(outer: tuple, js: tuple) -> tuple:
+        """The numbered ``outer`` composed with the window operations
+        ``js``, numbered."""
+        value, i = outer
+        if i is None:
+            return numbered(M.compose(value, values(js)))
+        hit = composites.get((i, js))
+        if hit is None:
+            hit = composites[i, js] = numbered(M.compose(value, values(js)))
+        return hit
+
+    def compose(outer: tuple, inners: tuple) -> tuple:
+        """:func:`composite` with numbered inner operations."""
+        js = tuple(j for _, j in inners)
+        if None in js:
+            return numbered(M.compose(outer[0], tuple(op for op, _ in inners)))
+        return composite(outer, js)
+
+    def act(op: tuple, sigma: Permutation) -> tuple:
+        """The numbered ``op`` acted on by ``sigma``, numbered."""
+        value, i = op
+        if i is None:
+            return numbered(M.act(value, sigma))
+        hit = actions.get((i, sigma.images))
+        if hit is None:
+            hit = actions[i, sigma.images] = numbered(M.act(value, sigma))
+        return hit
 
     for c in objs:
         u = M.unit(c)
         report.expect("unit-typing", (M.output_of(u), M.profile_of(u)), (c, (c,)), ("unit", c))
 
-    all_ops = [(profile, op) for _, profile, op in entries]
-
-    for profile, op in all_ops:
+    for (_, profile, _), op in zip(entries, window):
         n = len(profile)
-        report.expect("symmetry-identity", M.act(op, identity_perm(n)), op, ("id-action", op))
-        for s in all_perms(n):
-            acted = M.act(op, s)
-            report.expect("symmetry-typing",
-                          (M.output_of(acted), M.profile_of(acted)),
-                          (M.output_of(op), perm_act(s, profile)),
-                          ("boundary", op, s.images))
-            for t in all_perms(n):
-                report.evaluate("symmetry-action",
-                                lambda: M.act(M.act(op, s), t),
-                                lambda: M.act(op, perm_compose(s, t)),
-                                (op, s.images, t.images))
+        report.evaluate("symmetry-identity", lambda: act(op, identity_perm(n))[0],
+                        lambda: op[0], ("id-action", op[0]))
+        for s in perms(n):
+            def boundary():
+                acted = act(op, s)[0]
+                return M.output_of(acted), M.profile_of(acted)
 
-    for profile, op in all_ops:
-        target = M.output_of(op)
-        report.evaluate("left-unity", lambda: compose(M.unit(target), (op,)), lambda: op,
-                        ("left", op))
+            report.evaluate("symmetry-typing", boundary,
+                            lambda: (M.output_of(op[0]), perm_act(s, profile)),
+                            ("boundary", op[0], s.images))
+            for t in perms(n):
+                report.evaluate("symmetry-action",
+                                lambda: act(act(op, s), t)[0],
+                                lambda: act(op, perm_compose(s, t))[0],
+                                (op[0], s.images, t.images))
+
+    for (_, profile, _), op in zip(entries, window):
+        target = M.output_of(op[0])
+        report.evaluate("left-unity", lambda: compose(numbered(M.unit(target)), (op,))[0],
+                        lambda: op[0], ("left", op[0]))
         if profile:
-            units = tuple(M.unit(x) for x in profile)
-            report.evaluate("right-unity", lambda: compose(op, units), lambda: op,
-                            ("right", op))
+            units = tuple(numbered(M.unit(x)) for x in profile)
+            report.evaluate("right-unity", lambda: compose(op, units)[0], lambda: op[0],
+                            ("right", op[0]))
 
     composables = []
-    for profile, outer in all_ops:
+    for (_, profile, _), outer in zip(entries, window):
         if not profile:
             continue
-        for inners in _inner_tuples(by_output, profile, A):
+        for js in _inner_tuples(by_output, profile, A):
+            inners = values(js)
+
             # only composites that could be typed enter the index that the
             # equivariance and associativity checks run over
             def typed_composite():
-                result = compose(outer, inners)
-                boundary = (M.output_of(result), M.profile_of(result))
-                composables.append((outer, inners, result))
+                result = composite(outer, js)
+                boundary = (M.output_of(result[0]), M.profile_of(result[0]))
+                composables.append((outer, js, result))
                 return boundary
 
             report.evaluate("composition-typing", typed_composite,
-                            lambda: (M.output_of(outer),
-                                     tuple(x for i in inners for x in M.profile_of(i))),
-                            (outer, inners))
+                            lambda: (M.output_of(outer[0]),
+                                     tuple(x for op in inners for x in M.profile_of(op))),
+                            (outer[0], inners))
 
-    for outer, inners, result in composables:
-        n = len(inners)
-        arities = tuple(M.arity_of(i) for i in inners)
-        for s in all_perms(n):
+    for outer, js, result in composables:
+        inners = values(js)
+        arities = tuple(M.arity_of(op) for op in inners)
+        for s in perms(len(js)):
             report.evaluate("top-equivariance",
-                            lambda: compose(M.act(outer, s), perm_act(s, inners)),
-                            lambda: M.act(result, block_perm(s, arities)),
-                            (outer, inners, s.images))
-        for taus in itertools.product(*(list(all_perms(k)) for k in arities)):
+                            lambda: composite(act(outer, s), perm_act(s, js))[0],
+                            lambda: act(result, block_perm(s, arities))[0],
+                            (outer[0], inners, s.images))
+        for taus in itertools.product(*(perms(k) for k in arities)):
             report.evaluate("bottom-equivariance",
                             lambda: compose(outer, tuple(
-                                M.act(i, t) for i, t in zip(inners, taus))),
-                            lambda: M.act(result, block_sum(taus)),
-                            (outer, inners, tuple(t.images for t in taus)))
+                                act(window[j], t) for j, t in zip(js, taus)))[0],
+                            lambda: act(result, block_sum(taus))[0],
+                            (outer[0], inners, tuple(t.images for t in taus)))
 
-    for outer, middles, mid_comp in composables:
+    for outer, mids, mid_comp in composables:
+        middles = values(mids)
         flat = tuple(x for m in middles for x in M.profile_of(m))
-        ends = tuple(itertools.accumulate(arity[m] for m in middles))
-        for inners in _inner_tuples(by_output, flat, A):
-            chunks = tuple(inners[start:end] for start, end in zip((0,) + ends, ends))
+        ends = tuple(itertools.accumulate(arity[m] for m in mids))
+        chunked = tuple(zip(map(window.__getitem__, mids), (0,) + ends, ends))
+        for leaves in _inner_tuples(by_output, flat, A):
             report.evaluate("associativity",
-                            lambda: compose(mid_comp, inners),
+                            lambda: composite(mid_comp, leaves)[0],
                             lambda: compose(outer, tuple(
-                                compose(m, chunk) for m, chunk in zip(middles, chunks))),
-                            (outer, middles, inners))
+                                composite(m, leaves[start:end]) for m, start, end in chunked))[0],
+                            (outer[0], middles, values(leaves)))
 
     return report
 

@@ -62,9 +62,6 @@ class Permutation:
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return perm_compose(self, other)
-
 
 def identity_perm(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))

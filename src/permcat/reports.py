@@ -8,7 +8,10 @@ inputs produce byte-identical serialized reports.
 :meth:`CheckReport.evaluate` and :meth:`CheckReport.attempt` are the one
 place that decides what an exception raised by an axiom leg means: a leg
 outside the bound or the supported fragment makes the instance unknown
-(not counted), an ill-typed leg is a counted violation.
+(not counted), an ill-typed leg is a counted violation.  A validator that
+shares a composite between instances keeps only its value, so a leg that
+raises raises again for each instance that needs it and each such instance
+is unknown or ill-typed on its own.
 """
 from __future__ import annotations
 
@@ -35,23 +38,6 @@ def render(value) -> str:
         items = sorted(value.items(), key=lambda kv: kv[0])
         return "{" + ", ".join(f"{k}: {render(v)}" for k, v in items) + "}"
     return repr(value)
-
-
-def memo(fn):
-    """``fn`` with its values kept by argument tuple, for a composite or an
-    intermediate shared by several instances.  Only values are kept: a call
-    that raises is made, and raises, again for each instance that needs it,
-    so each such instance is unknown or ill-typed on its own."""
-    values = {}
-    missing = object()
-
-    def cached(*args):
-        value = values.get(args, missing)
-        if value is missing:
-            value = values[args] = fn(*args)
-        return value
-
-    return cached
 
 
 @dataclass

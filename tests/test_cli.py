@@ -46,6 +46,7 @@ GOLDEN_COMMANDS = {
     "free-mterm4-validate.txt": ["free", doc("mterm4.json"), "--max-len", "3"],
     "endo-sign-ops.txt": ["endo", doc("sign.json"), "--ops", "0", "1,1"],
     "endo-bool-validate.txt": ["endo", doc("bool-or.json"), "--max-arity", "2"],
+    "endo-sign-validate.txt": ["endo", doc("sign.json"), "--max-arity", "3"],
     "tensor-s-images.txt": ["tensor-s", doc("sign-operad2.json"),
                             doc("two-object.json"),
                             "--objects", "*,*", "a,b", "--constraint", "1", "*"],

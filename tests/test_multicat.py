@@ -25,7 +25,15 @@ from permcat.multicat import (
     validate_multifunctor,
     validate_multinat,
 )
-from permcat.perms import all_perms, perm_act, profiles
+from permcat.perms import (
+    all_perms,
+    block_perm,
+    block_sum,
+    identity_perm,
+    perm_act,
+    perm_compose,
+    profiles,
+)
 from permcat.tensor import TensorGridView, tensor_op
 
 MTERM = terminal_multicat(4)
@@ -129,25 +137,34 @@ class TestValidateMulticat:
         assert "left-unity" in report.violated_axioms()
 
 
-def counting_view(M, fails=None):
-    """``M`` with a ``compose_fn`` that counts its calls per ``(outer,
-    inners)`` and raises ``MalformedStructureError`` on the pair ``fails``."""
-    calls = Counter()
+def counting_view(M, fails=None, withheld=None):
+    """``M`` with a ``compose_fn`` and an ``act_fn`` that count their calls
+    per ``(outer, inners)`` and per ``(op, sigma.images)``.  The composite
+    ``fails`` raises ``MalformedStructureError``, the action ``withheld``
+    raises ``ComposabilityError``."""
+    composes, acts = Counter(), Counter()
 
     def compose_fn(outer, inners):
-        calls[outer, inners] += 1
+        composes[outer, inners] += 1
         if (outer, inners) == fails:
             raise MalformedStructureError("composite withheld")
         return M.compose_fn(outer, inners)
 
-    return replace(M, compose_fn=compose_fn), calls
+    def act_fn(op, sigma):
+        acts[op, sigma.images] += 1
+        if (op, sigma.images) == withheld:
+            raise ComposabilityError("action withheld")
+        return M.act_fn(op, sigma)
+
+    return replace(M, compose_fn=compose_fn, act_fn=act_fn), composes, acts
 
 
-def touching_instances(M, A, pair) -> Counter:
-    """Per axiom, how many composition-typing, equivariance and
+def touching_instances(M, A, request) -> Counter:
+    """Per axiom, how many symmetry, composition-typing, equivariance and
     associativity instances of ``validate_multicat(M, A)`` have a leg that
-    composes ``pair``, found by brute force over every tuple of operations
-    and a composite that records what it is asked for."""
+    makes ``request``, either ``("compose", outer, inners)`` or ``("act",
+    op, images)``, found by brute force over every tuple of operations and
+    a composite and an action that record what they are asked for."""
     objs = M.object_list()
     ops = [(op, profile) for target in objs for profile in profiles(objs, A)
            for op in M.ops(target, profile)]
@@ -161,29 +178,44 @@ def touching_instances(M, A, pair) -> Counter:
     asked = []
 
     def compose(outer, inners):
-        asked.append((outer, inners))
+        asked.append(("compose", outer, inners))
         return M.compose(outer, inners)
+
+    def act(op, sigma):
+        asked.append(("act", op, sigma.images))
+        return M.act(op, sigma)
 
     def touches(*legs):
         asked.clear()
         for leg in legs:
             leg()
-        return pair in asked
+        return request in asked
 
     found = Counter()
+    for op, profile in ops:
+        n = len(profile)
+        found["symmetry-identity"] += touches(lambda: act(op, identity_perm(n)))
+        for s in all_perms(n):
+            found["symmetry-typing"] += touches(lambda: act(op, s))
+            for t in all_perms(n):
+                found["symmetry-action"] += touches(
+                    lambda: act(act(op, s), t), lambda: act(op, perm_compose(s, t)))
     composables = []
     for outer, profile in ops:
         for inners in inner_tuples(profile, A) if profile else ():
             found["composition-typing"] += touches(lambda: compose(outer, inners))
-            if (outer, inners) != pair:
+            if request != ("compose", outer, inners):
                 composables.append((outer, inners, M.compose(outer, inners)))
     for outer, inners, result in composables:
+        arities = tuple(M.arity_of(i) for i in inners)
         for s in all_perms(len(inners)):
             found["top-equivariance"] += touches(
-                lambda: compose(M.act(outer, s), perm_act(s, inners)))
-        for taus in itertools.product(*(all_perms(M.arity_of(i)) for i in inners)):
+                lambda: compose(act(outer, s), perm_act(s, inners)),
+                lambda: act(result, block_perm(s, arities)))
+        for taus in itertools.product(*(all_perms(k) for k in arities)):
             found["bottom-equivariance"] += touches(
-                lambda: compose(outer, tuple(M.act(i, t) for i, t in zip(inners, taus))))
+                lambda: compose(outer, tuple(act(i, t) for i, t in zip(inners, taus))),
+                lambda: act(result, block_sum(taus)))
         flat = tuple(x for m in inners for x in M.profile_of(m))
         for leaves in inner_tuples(flat, A):
             rest = iter(leaves)
@@ -194,19 +226,38 @@ def touching_instances(M, A, pair) -> Counter:
     return found
 
 
+def ill_typed_counts(report) -> Counter:
+    return Counter(v.axiom for v in report.violations()
+                   if v.witness.startswith("(ill-typed, "))
+
+
 class TestCompositeMemo:
     SIGN_ENDO = endo_multicat(sign_permcat())
+    INSTANCES = {
+        "unit-typing": 2, "symmetry-identity": 14, "symmetry-typing": 22,
+        "symmetry-action": 38, "left-unity": 14, "right-unity": 12,
+        "composition-typing": 164, "top-equivariance": 300,
+        "bottom-equivariance": 244, "associativity": 2196}
 
     def test_each_composite_evaluated_once(self):
-        view, calls = counting_view(self.SIGN_ENDO)
+        view, composes, _ = counting_view(self.SIGN_ENDO)
         report = validate_multicat(view, max_arity=2)
         assert report.passed, report.summary()
-        assert calls and set(calls.values()) == {1}
-        assert {c.axiom: c.instances for c in report.checks} == {
-            "unit-typing": 2, "symmetry-identity": 14, "symmetry-typing": 22,
-            "symmetry-action": 38, "left-unity": 14, "right-unity": 12,
-            "composition-typing": 164, "top-equivariance": 300,
-            "bottom-equivariance": 244, "associativity": 2196}
+        assert composes and set(composes.values()) == {1}
+        assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
+
+    def test_each_action_evaluated_once(self):
+        E = self.SIGN_ENDO
+        view, _, acts = counting_view(E)
+        report = validate_multicat(view, max_arity=2)
+        assert report.passed, report.summary()
+        assert set(acts.values()) == {1}
+        # symmetry-typing acts on every window operation by every permutation
+        objs = E.object_list()
+        assert {(op, s.images) for target in objs for profile in profiles(objs, 2)
+                for op in E.ops(target, profile)
+                for s in all_perms(len(profile))} <= set(acts)
+        assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
 
     def test_failing_composite_is_raised_for_every_instance(self):
         # a pair that instances of all four evaluated axioms compose
@@ -214,16 +265,33 @@ class TestCompositeMemo:
         outer = EndoOp("1", ("0", "1"), "1:-")
         pair = (outer, (EndoOp("0", (), "0:+"), outer))
         assert outer in E.ops("1", ("0", "1")) and pair[1][0] in E.ops("0", ())
-        view, calls = counting_view(E, fails=pair)
+        view, composes, _ = counting_view(E, fails=pair)
         report = validate_multicat(view, max_arity=2)
-        ill_typed = Counter(v.axiom for v in report.violations()
-                            if v.witness.startswith("(ill-typed, "))
-        expected = touching_instances(E, 2, pair)
+        ill_typed = ill_typed_counts(report)
+        expected = touching_instances(E, 2, ("compose", *pair))
         assert ill_typed == +expected
         assert set(ill_typed) == {"composition-typing", "top-equivariance",
                                   "bottom-equivariance", "associativity"}
-        assert calls[pair] == sum(ill_typed.values())
+        assert composes[pair] == sum(ill_typed.values())
         assert len(report.violations()) == sum(ill_typed.values())
+
+    def test_failing_action_is_raised_for_every_instance(self):
+        # a binary operation acted on by the transposition: the symmetry
+        # axioms and both equivariances act with it
+        E = self.SIGN_ENDO
+        op = EndoOp("1", ("0", "1"), "1:-")
+        withheld = (op, (2, 1))
+        assert op in E.ops("1", ("0", "1"))
+        view, _, acts = counting_view(E, withheld=withheld)
+        report = validate_multicat(view, max_arity=2)
+        ill_typed = ill_typed_counts(report)
+        expected = touching_instances(E, 2, ("act", *withheld))
+        assert ill_typed == +expected
+        assert set(ill_typed) == {"symmetry-typing", "symmetry-action",
+                                  "top-equivariance", "bottom-equivariance"}
+        assert acts[withheld] == sum(ill_typed.values())
+        assert len(report.violations()) == sum(ill_typed.values())
+        assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
 
 
 class TestTerminalAndInitial:

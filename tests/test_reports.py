@@ -15,7 +15,7 @@ from permcat.errors import (
 from permcat.fixtures import sign_permcat, swap_operad, two_object_multicat
 from permcat.multicat import terminal_multicat, validate_multicat
 from permcat.permcats import validate_permcat
-from permcat.reports import CheckReport, memo
+from permcat.reports import CheckReport
 from permcat.tensor import tensor_op
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "permcat"
@@ -75,23 +75,6 @@ class TestEvaluate:
         report.evaluate("eq", lambda: tensor_op((broken, T), ("p", "ua")),
                         lambda: tensor_op((swap, T), ("p", "ua")), ("w",))
         assert summary_of(report) == [("eq", 1, ["(ill-typed, w)"])]
-
-    def test_memo_shares_values_not_errors(self):
-        calls = []
-
-        def compose(*args):
-            calls.append(args)
-            if args:
-                return 7
-            raise ComposabilityError("no")
-
-        shared = memo(compose)
-        report = CheckReport("r")
-        for w in range(3):
-            report.evaluate("ax", shared, lambda: 1, (w,))
-        assert summary_of(report) == [("ax", 3, [f"(ill-typed, {w})" for w in range(3)])]
-        assert [shared("g", "f") for _ in range(3)] == [7, 7, 7]
-        assert calls == [(), (), (), ("g", "f")]
 
 
 class TestAbsorb:
