@@ -207,8 +207,17 @@ class TensorGridView(Multicat):
         else:
             self.objects = None
         self._composites = {}
+        self._units = {}
 
     def unit(self, obj: tuple) -> DecompOp:
+        """The tensor of the factor units, built once per object tuple;
+        only values are kept, as in :meth:`compose`."""
+        unit = self._units.get(obj)
+        if unit is None:
+            unit = self._units[obj] = self._unit(obj)
+        return unit
+
+    def _unit(self, obj: tuple) -> DecompOp:
         return make_decomp(self.factors,
                            tuple(M.unit(c) for M, c in zip(self.factors, obj)),
                            identity_perm(1))
@@ -386,6 +395,57 @@ def braid_multifunctor(M1: Multicat, M2: Multicat) -> Multifunctor:
                         lambda obj: (obj[1], obj[0]), on_op)
 
 
+class SPieces:
+    """The small pieces ``S`` builds on the factors ``Ms``, each built once
+    per raw argument: object images keyed by the tuple of factor profiles,
+    tensor operations by their raw components, index products by the tuple
+    of factor maps, and constraint shuffles by ``(b, sizes, hat_b)``.
+
+    A component that is itself a grid operation is keyed by its components
+    and twist, as :meth:`TensorGridView.compose` keys them: its canonical
+    key would merge gauge-equivalent forms whose tensors differ.  One
+    instance belongs to one induced functor (see :func:`s_functor`).  Only
+    values are kept, so a construction that raises raises again.
+    """
+
+    def __init__(self, Ms: tuple):
+        self.Ms = Ms
+        self._objects, self._ops, self._products, self._shuffles = {}, {}, {}, {}
+
+    @cached_property
+    def grid(self) -> Multicat:
+        """The tensor view whose units the constraints use."""
+        return tensor_grid(self.Ms)
+
+    def object(self, xs: tuple) -> Profile:
+        xs = tuple(map(tuple, xs))
+        image = self._objects.get(xs)
+        if image is None:
+            image = self._objects[xs] = s_object(self.Ms, xs)
+        return image
+
+    def tensor_op(self, ops: tuple) -> DecompOp:
+        key = tuple((c.components, c.twist) if c.__class__ is DecompOp else c
+                    for c in ops)
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = tensor_op(self.Ms, ops)
+        return op
+
+    def product(self, maps: tuple) -> FinMap:
+        index = self._products.get(maps)
+        if index is None:
+            index = self._products[maps] = product_map(maps)
+        return index
+
+    def shuffle(self, b: int, sizes: tuple, hat_b: int) -> FinMap:
+        key = (b, sizes, hat_b)
+        rho = self._shuffles.get(key)
+        if rho is None:
+            rho = self._shuffles[key] = s_constraint_map(b, sizes, hat_b)
+        return rho
+
+
 def s_object(Ms: tuple, xs: tuple) -> Profile:
     """The image object: empty tensor gives the empty profile, one factor
     is the identity, otherwise the flat grid of tuples."""
@@ -396,21 +456,24 @@ def s_object(Ms: tuple, xs: tuple) -> Profile:
     return grid_object(tuple(tuple(x) for x in xs))
 
 
-def s_morphism(Ms: tuple, mors: tuple) -> FreeMorphism:
+def s_morphism(Ms: tuple, mors: tuple, pieces: SPieces | None = None) -> FreeMorphism:
     """The image morphism: the product index map with the iterated tensor
-    of the fiber operations (identity twists) as entries."""
+    of the fiber operations (identity twists) as entries.  ``pieces``
+    holds what is already built; a fresh one by default."""
     if len(Ms) == 0:
         return free_identity(initial_operad(), ())
     if len(Ms) == 1:
         return mors[0]
-    index = product_map(tuple(m.index_map for m in mors))
+    if pieces is None:
+        pieces = SPieces(Ms)
+    index = pieces.product(tuple(m.index_map for m in mors))
     targets = tuple(tuple(m.target) for m in mors)
     t_sizes = tuple(len(t) for t in targets)
     ops = tuple(
-        tensor_op(Ms, tuple(m.ops[k - 1] for m, k in zip(mors, ks)))
+        pieces.tensor_op(tuple(m.ops[k - 1] for m, k in zip(mors, ks)))
         for ks in grid_indices(t_sizes))
-    return FreeMorphism(s_object(Ms, tuple(m.source for m in mors)),
-                        s_object(Ms, targets), index, ops)
+    return FreeMorphism(pieces.object(tuple(m.source for m in mors)),
+                        pieces.object(targets), index, ops)
 
 
 def s_constraint_map(b: int, sizes: tuple, hat_b: int) -> FinMap:
@@ -435,39 +498,44 @@ def s_constraint_map(b: int, sizes: tuple, hat_b: int) -> FinMap:
     return FinMap(first + second, first + second, tuple(images))
 
 
-def s_constraint(Ms: tuple, b: int, xs: tuple, hat_xb: tuple) -> FreeMorphism:
+def s_constraint(Ms: tuple, b: int, xs: tuple, hat_xb: tuple,
+                 pieces: SPieces | None = None) -> FreeMorphism:
     """The b-th linearity constraint of ``S``: a permutation of entries
-    with unit operations, determined positionally by source and target."""
+    with unit operations, determined positionally by source and target.
+    ``pieces`` is as in :func:`s_morphism`."""
     n = len(Ms)
     if not 1 <= b <= n:
         raise ValueError(f"factor index {b} out of range 1..{n}")
-    grid = tensor_grid(Ms)
     if n == 1:
         merged = tuple(xs[0]) + tuple(hat_xb)
         return free_identity(Ms[0], merged)
-    sizes = tuple(len(x) for x in xs)
-    rho = s_constraint_map(b, sizes, len(hat_xb))
-    merged_xs = tuple(tuple(x) if i != b - 1 else tuple(xs[b - 1]) + tuple(hat_xb)
+    if pieces is None:
+        pieces = SPieces(Ms)
+    rho = pieces.shuffle(b, tuple(len(x) for x in xs), len(hat_xb))
+    merged_xs = tuple(x if i != b - 1 else tuple(x) + tuple(hat_xb)
                       for i, x in enumerate(xs))
-    source = (s_object(Ms, xs)
-              + s_object(Ms, tuple(tuple(x) if i != b - 1 else tuple(hat_xb)
-                                   for i, x in enumerate(xs))))
-    target = s_object(Ms, merged_xs)
-    ops = tuple(grid.unit(obj) for obj in target)
+    source = (pieces.object(xs)
+              + pieces.object(tuple(x if i != b - 1 else hat_xb
+                                    for i, x in enumerate(xs))))
+    target = pieces.object(merged_xs)
+    ops = tuple(map(pieces.grid.unit, target))
     return FreeMorphism(source, target, rho, ops)
 
 
 def s_functor(Ms: tuple) -> NLinearFunctor:
     """``S`` packaged as a strong multilinear functor between the free
-    category views."""
+    category views.  It owns one :class:`SPieces`, so each object image,
+    tensor operation, index product and constraint shuffle is built once
+    per raw argument; whole morphism and constraint images are not kept."""
     Ms = tuple(Ms)
+    pieces = SPieces(Ms)
     sources = tuple(FreePermCat(M) for M in Ms)
-    target = FreePermCat(tensor_grid(Ms))
+    target = FreePermCat(pieces.grid)
     return NLinearFunctor(
         sources, target,
-        lambda X: s_object(Ms, X),
-        lambda fs: s_morphism(Ms, fs),
-        (lambda b, X, X2: s_constraint(Ms, b, X, X2)) if Ms else None)
+        pieces.object,
+        lambda fs: s_morphism(Ms, fs, pieces),
+        (lambda b, X, X2: s_constraint(Ms, b, X, X2, pieces)) if Ms else None)
 
 
 def f_multi(H: Multifunctor, Ms: tuple) -> NLinearFunctor:
@@ -529,11 +597,11 @@ def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
                 for M in Ms))]:
         F_tensor = f_multi(tensor_of_multifunctors(Hs), Ms)
         FHs = [free_on_multifunctor(H) for H in Hs]
-        Ns = tuple(H.target for H in Hs)
+        S_N = s_functor(tuple(H.target for H in Hs))
         for xs in itertools.product(*(w[:6] for w in windows)):
-            lhs = s_object(Ns, tuple(FH.on_obj(x) for FH, x in zip(FHs, xs)))
+            lhs = S_N.on_obj(tuple(FH.on_obj(x) for FH, x in zip(FHs, xs)))
             report.expect("two-naturality", lhs, F_tensor.on_obj(xs), (label, xs))
         for fs in itertools.product(*(ms[:8] for ms in mor_lists)):
-            lhs = s_morphism(Ns, tuple(FH.on_mor(f) for FH, f in zip(FHs, fs)))
+            lhs = S_N.on_mor(tuple(FH.on_mor(f) for FH, f in zip(FHs, fs)))
             report.expect("two-naturality", lhs, F_tensor.on_mor(fs), (label, fs))
     return report

@@ -386,6 +386,20 @@ class TestMultifunctor:
         report = validate_multifunctor(H)
         assert "symmetry-preservation" in report.violated_axioms()
 
+    def test_raising_action_is_a_counted_violation(self):
+        # the binary operation and transposition of the validate_multicat
+        # test: only the symmetry-preservation instance acts with them
+        E = endo_multicat(sign_permcat())
+        withheld = (EndoOp("1", ("0", "1"), "1:-"), (2, 1))
+        view, _, acts = counting_view(E, withheld=withheld)
+        well_typed = validate_multifunctor(identity_multifunctor(E), max_arity=2)
+        report = validate_multifunctor(identity_multifunctor(view), max_arity=2)
+        assert well_typed.passed, well_typed.summary()
+        assert ill_typed_counts(report) == {"symmetry-preservation": 1}
+        assert len(report.violations()) == 1 and acts[withheld] == 1
+        assert ({c.axiom: c.instances for c in report.checks}
+                == {c.axiom: c.instances for c in well_typed.checks})
+
 
 class TestMultinat:
     def test_identity_passes(self):

@@ -1,9 +1,11 @@
 """The grid fragment of the tensor product and the comparison functor S."""
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from permcat import tensor
 from permcat.errors import (
     ComposabilityError,
     MalformedStructureError,
@@ -34,7 +36,9 @@ from permcat.perms import (
     terminal_map,
 )
 from permcat.shipped import SHIPPED
+from permcat.reports import CheckReport
 from permcat.tensor import (
+    SPieces,
     TensorGridView,
     braid_multifunctor,
     check_s_suite,
@@ -505,3 +509,121 @@ class TestCompositeCounts:
         assert sum(asked.values()) == 528
         assert built == Counter(dict.fromkeys(asked, 1))
         assert len(built) == 4
+
+
+def swap_without_transposition():
+    """The swap operad with the action ``(p, (2, 1))`` deleted: an
+    operation built on it fails when its canonical key is computed."""
+    sigma = dict(SWAP.sigma)
+    del sigma["p", (2, 1)]
+    return replace(SWAP, sigma=sigma)
+
+
+class TestSImageCounts:
+    """``S`` builds each object image, tensor operation, index product,
+    constraint shuffle and grid unit once per functor and raw argument."""
+
+    INSTANCES = {
+        "preserves-identities": 6, "preserves-composition": 12,
+        "functor-typing": 9, "functor-identities": 6, "functor-composition": 12,
+        "unity": 30, "constraint-typing": 30, "constraint-unity": 24,
+        "constraint-naturality": 54, "constraint-associativity": 78,
+        "constraint-symmetry": 30, "constraint-2x2": 72, "two-naturality": 30}
+
+    def test_check_s_builds_each_piece_once_per_functor(self, monkeypatch):
+        owners, asked, built = [], Counter(), Counter()
+
+        def asking(method):
+            def wrapper(self, *args):
+                asked[method.__name__] += 1
+                owners.append(self)
+                try:
+                    return method(self, *args)
+                finally:
+                    owners.pop()
+            return wrapper
+
+        def building(name, construct, key):
+            def wrapper(*args):
+                built[owners[-1] if owners else None, name, key(args)] += 1
+                return construct(*args)
+            return wrapper
+
+        for method in ("object", "tensor_op", "product", "shuffle"):
+            monkeypatch.setattr(SPieces, method, asking(getattr(SPieces, method)))
+        for name, key in [("s_object", lambda args: args[1]),
+                          ("tensor_op", lambda args: args[1]),
+                          ("product_map", lambda args: args[0]),
+                          ("s_constraint_map", lambda args: args)]:
+            monkeypatch.setattr(tensor, name, building(name, getattr(tensor, name), key))
+        unit, build_unit = TensorGridView.unit, TensorGridView._unit
+
+        def asking_unit(self, obj):
+            asked["unit"] += 1
+            return unit(self, obj)
+
+        def building_unit(self, obj):
+            built[self, "unit", obj] += 1
+            return build_unit(self, obj)
+
+        monkeypatch.setattr(TensorGridView, "unit", asking_unit)
+        monkeypatch.setattr(TensorGridView, "_unit", building_unit)
+        report = check_s_suite((terminal_multicat(3), TWO), 1)
+        assert report.passed, report.summary()
+        assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
+        # every piece is built under the functor that asked for it, once;
+        # the index products of grid composites are built outside S
+        by_functor = {k: n for k, n in built.items() if k[0] is not None}
+        assert set(by_functor.values()) == {1}
+        per_kind = Counter(name for _, name, _ in by_functor)
+        assert per_kind == {"s_object": 62, "tensor_op": 18, "product_map": 45,
+                            "s_constraint_map": 40, "unit": 4}
+        assert asked == {"object": 4164, "tensor_op": 172, "product": 339,
+                         "shuffle": 942, "unit": 996}
+
+    def test_a_raising_tensor_op_raises_on_every_call(self, monkeypatch):
+        broken = swap_without_transposition()
+        S = s_functor((broken, TWO))
+        mor = FreeMorphism(star(2), star(1), terminal_map(2), ("p",))
+        ops = [S.on_mor((mor, free_identity(TWO, ("a",)))).ops[0] for _ in range(2)]
+        assert ops[0] is ops[1]
+        good = tensor_op((SWAP, TWO), ("p", "ua"))
+        report = CheckReport("r")
+        for op in ops:
+            report.evaluate("eq", lambda: op, lambda: good, ("w",))
+        assert [(c.axiom, c.instances, len(c.violations)) for c in report.checks] == [
+            ("eq", 2, 2)]
+
+        calls = Counter()
+        construct = tensor.tensor_op
+
+        def counting(Ms, components):
+            calls[components] += 1
+            return construct(Ms, components)
+
+        monkeypatch.setattr(tensor, "tensor_op", counting)
+        pieces = SPieces((broken, TWO))
+        for _ in range(2):
+            with pytest.raises(MalformedStructureError):
+                pieces.tensor_op(("unknown", "ua"))
+        assert calls == {("unknown", "ua"): 2}
+
+    def test_nested_grid_components_are_keyed_raw(self):
+        # the gauge-equivalent pair of the canonical_key doctest, as
+        # entries of free morphisms over the grid factor
+        G = tensor_grid((SWAP, SWAP))
+        slid = make_decomp(G.factors, ("q", "p"), identity_perm(4))
+        twisted = make_decomp(G.factors, ("p", "p"), Permutation((2, 1, 4, 3)))
+        assert slid == twisted
+        S = s_functor((G, TWO))
+        unit_a = free_identity(TWO, ("a",))
+        images = []
+        for component in (slid, twisted):
+            mor = FreeMorphism(G.profile_of(component), (G.output_of(component),),
+                               terminal_map(4), (component,))
+            images.append(S.on_mor((mor, unit_a)).ops[0])
+        assert images[0] is not images[1]
+        for image, component in zip(images, (slid, twisted)):
+            fresh = tensor_op((G, TWO), (component, "ua"))
+            assert image.components[0] is component
+            assert (image.components[1], image.twist) == (fresh.components[1], fresh.twist)

@@ -7,8 +7,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from permcat import tensor
 from permcat.endo import endo_multicat
-from permcat.fixtures import sign_permcat
+from permcat.fixtures import sign_permcat, two_object_multicat
+from permcat.free import free_identity
+from permcat.multicat import identity_multifunctor, terminal_multicat
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -37,3 +40,22 @@ def test_endo_views_have_a_replaceable_compose():
     view = endo_multicat(sign_permcat())
     assert dataclasses.is_dataclass(view)
     assert "compose_fn" in {f.name for f in dataclasses.fields(view)}
+
+
+def test_induced_functors_reach_the_module_s_morphism(monkeypatch):
+    """``S`` and the induced multilinear functors call ``s_morphism``
+    through the module global, so a wrapper installed there counts them."""
+    calls = []
+    original = tensor.s_morphism
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(tensor, "s_morphism", counting)
+    Ms = (terminal_multicat(2), two_object_multicat())
+    mors = (free_identity(Ms[0], ("*",)), free_identity(Ms[1], ("a", "b")))
+    tensor.s_functor(Ms).on_mor(mors)
+    grid = tensor.tensor_grid(Ms)
+    tensor.f_multi(identity_multifunctor(grid), Ms).on_mor(mors)
+    assert calls == [Ms, Ms]

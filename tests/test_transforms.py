@@ -291,6 +291,30 @@ class TestCounterexample:
             assert counts == [("square", 9801, 0)]
             assert sum(acted.values()) == len(asked) == 196
 
+    @pytest.mark.parametrize("alpha, violations", [(POS, 0), (NEG, 460)])
+    def test_counit_images_computed_once_per_window_morphism(
+            self, monkeypatch, alpha, violations):
+        calls = []
+        honest = transforms.epsilon
+
+        def counting_epsilon(C):
+            E = honest(C)
+            calls.append(0)
+            slot = len(calls) - 1
+
+            def on_mor(mor):
+                calls[slot] += 1
+                return E.on_mor(mor)
+
+            return replace(E, mor_map=on_mor)
+
+        monkeypatch.setattr(transforms, "epsilon", counting_epsilon)
+        report = epsilon_square(sign_multiplication(alpha, POS))
+        counts = [(c.axiom, c.instances, len(c.violations)) for c in report.checks]
+        assert counts == [("square", 9801, violations)]
+        # one counit per factor, then the counit of the target, once per square
+        assert calls == [99, 99, 9801]
+
 
 class TestMarking:
     @pytest.mark.parametrize("C", PERMCATS, ids=lambda c: c.name)
