@@ -27,7 +27,7 @@ from math import factorial
 from operator import itemgetter
 
 from .multicat import FinMulticat, _by_output, _inner_tuples
-from .permcats import FinPermCat, SymMonFunctor, MonoidalNat
+from .permcats import FinPermCat, SymMonFunctor, MonoidalNat, by_source
 from .perms import all_perms
 from .rings import (
     BipermData,
@@ -425,9 +425,8 @@ def _read_permcat(payload, context: str) -> FinPermCat:
     scope = {}
     objects, morphisms, identities, composition, sums, mor_sums, symmetries = \
         _read_tables(p, PERMCAT, scope, context)
-    after, domain = {}, 0
-    for g, (src, _) in morphisms.items():
-        after.setdefault(src, []).append(g)
+    after = by_source(lambda g: morphisms[g][0], morphisms)
+    domain = 0
     for f, (_, tgt) in morphisms.items():
         for g in after.get(tgt, ()):
             if (g, f) not in composition:

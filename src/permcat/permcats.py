@@ -13,7 +13,7 @@ fold on the left, an empty sum is the unit object.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import BoundExceededError, ComposabilityError, MalformedStructureError
@@ -33,6 +33,11 @@ class FinPermCat:
     sums: Mapping           # (x, y) -> object
     mor_sums: Mapping       # (f, g) -> morphism
     symmetries: Mapping     # (x, y) -> morphism x+y -> y+x
+    _homs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for f, x in self.mor_src.items():
+            self._homs.setdefault((x, self.mor_tgt[f]), []).append(f)
 
     def object_list(self) -> tuple:
         return self.objects
@@ -47,8 +52,7 @@ class FinPermCat:
         return self.mor_tgt[f]
 
     def hom(self, x, y) -> tuple:
-        return tuple(f for f in self.mor_src
-                     if self.mor_src[f] == x and self.mor_tgt[f] == y)
+        return tuple(self._homs.get((x, y), ()))
 
     def identity(self, x):
         try:
@@ -99,6 +103,22 @@ def sum_mors(C, mors: Sequence):
     return total
 
 
+def window_mors(C, objs: Sequence) -> list:
+    """Every morphism between objects of the window, hom by hom."""
+    return [f for x in objs for y in objs for f in C.hom(x, y)]
+
+
+def by_source(src: Callable, mors) -> dict:
+    """``mors`` grouped by ``src``, each group in the given order: the
+    morphisms of ``mors`` that can follow ``f`` are ``groups.get(tgt(f), ())``.
+    Over a product of windows, the product of these groups is the
+    composable tuples in the product's own order."""
+    groups = {}
+    for f in mors:
+        groups.setdefault(src(f), []).append(f)
+    return groups
+
+
 def perm_to_morphism(C, perm: Permutation, profile: Profile):
     """The canonical morphism ``x_1 + ... + x_n -> x_{perm(1)} + ...``
     built by factoring ``perm`` into adjacent transpositions, each realized
@@ -147,10 +167,8 @@ def validate_permcat(C, objects: Sequence | None = None,
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
-    mors = [f for x in objs for y in objs for f in C.hom(x, y)]
-    heavy_objs = objs if interchange_objects is None else tuple(interchange_objects)
-    heavy = (mors if interchange_objects is None else
-             [f for x in heavy_objs for y in heavy_objs for f in C.hom(x, y)])
+    mors = window_mors(C, objs)
+    heavy = mors if interchange_objects is None else window_mors(C, tuple(interchange_objects))
 
     index = {f: i for i, f in enumerate(dict.fromkeys(mors + heavy))}
     window = list(index)
@@ -175,12 +193,6 @@ def validate_permcat(C, objects: Sequence | None = None,
     def compose(g, f):
         return comp(numbered(g), numbered(f))[0]
 
-    def by_source(numbered_mors: list) -> dict:
-        groups = {}
-        for f in numbered_mors:
-            groups.setdefault(C.src(f[0]), []).append(f)
-        return groups
-
     for x in objs:
         i = C.identity(x)
         report.expect("identity-typing", (C.src(i), C.tgt(i)), (x, x), ("id", x))
@@ -190,7 +202,7 @@ def validate_permcat(C, objects: Sequence | None = None,
         report.evaluate("category-unity", lambda: compose(f, C.identity(C.src(f))),
                         lambda: f, ("right", f))
     numbered_mors = [numbered(f) for f in mors]
-    after = by_source(numbered_mors)
+    after = by_source(lambda f: C.src(f[0]), numbered_mors)
     for f in numbered_mors:
         for g in after.get(C.tgt(f[0]), ()):
             for h in after.get(C.tgt(g[0]), ()):
@@ -219,7 +231,7 @@ def validate_permcat(C, objects: Sequence | None = None,
                       (C.sum_obj(C.src(f), C.src(g)), C.sum_obj(C.tgt(f), C.tgt(g))),
                       ("sum", f, g))
     numbered_heavy = [numbered(f) for f in heavy]
-    heavy_after = by_source(numbered_heavy)
+    heavy_after = by_source(lambda f: C.src(f[0]), numbered_heavy)
     for f, g in itertools.product(numbered_heavy, repeat=2):
         for f2 in heavy_after.get(C.tgt(f[0]), ()):
             for g2 in heavy_after.get(C.tgt(g[0]), ()):
@@ -338,7 +350,7 @@ def validate_smf(P: SymMonFunctor, objects: Sequence | None = None) -> CheckRepo
     C, D = P.source, P.target
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport("symmetric-monoidal-functor")
-    mors = [f for x in objs for y in objs for f in C.hom(x, y)]
+    mors = window_mors(C, objs)
 
     for f in mors:
         report.expect("functor-typing",
@@ -347,10 +359,9 @@ def validate_smf(P: SymMonFunctor, objects: Sequence | None = None) -> CheckRepo
     for x in objs:
         report.expect("functor-identities",
                       P.on_mor(C.identity(x)), D.identity(P.on_obj(x)), ("id", x))
+    after = by_source(C.src, mors)
     for f in mors:
-        for g in mors:
-            if C.src(g) != C.tgt(f):
-                continue
+        for g in after.get(C.tgt(f), ()):
             report.evaluate("functor-composition",
                             lambda: P.on_mor(C.compose(g, f)),
                             lambda: D.compose(P.on_mor(g), P.on_mor(f)), (g, f))
@@ -435,7 +446,7 @@ def validate_monoidal_nat(theta: MonoidalNat, objects: Sequence | None = None) -
     C, D = P.source, P.target
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport("monoidal-natural-transformation")
-    mors = [f for x in objs for y in objs for f in C.hom(x, y)]
+    mors = window_mors(C, objs)
 
     for x in objs:
         t = theta.at(x)
@@ -527,10 +538,13 @@ def identity_nlinear(C) -> NLinearFunctor:
     return NLinearFunctor((C,), C, lambda X: X[0], lambda fs: fs[0])
 
 
-def _windows(P: NLinearFunctor, objects) -> list[tuple]:
-    if objects is None:
-        return [tuple(S.object_list()) for S in P.sources]
-    return [tuple(w) for w in objects]
+def _windows(P: NLinearFunctor, objects) -> tuple[list, list, list]:
+    """One object window per source, the tuples of window objects, and
+    each source's window morphisms."""
+    wins = [tuple(S.object_list()) for S in P.sources] if objects is None else \
+        [tuple(w) for w in objects]
+    return (wins, list(itertools.product(*wins)),
+            [window_mors(S, w) for S, w in zip(P.sources, wins)])
 
 
 def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> CheckReport:
@@ -549,10 +563,7 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         report.expect("object-choice", D.identity(choice) is not None, True, ("choice", choice))
         report.metadata["classification"] = "strict"
         return report
-    wins = _windows(P, objects)
-    obj_tuples = list(itertools.product(*wins))
-    hom_lists = [[f for x in w for y in w for f in S.hom(x, y)]
-                 for S, w in zip(P.sources, wins)]
+    wins, obj_tuples, hom_lists = _windows(P, objects)
     mor_tuples = list(itertools.product(*hom_lists))
 
     for fs in mor_tuples:
@@ -565,10 +576,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     for X in obj_tuples:
         ids = tuple(S.identity(x) for S, x in zip(P.sources, X))
         report.expect("functor-identities", P.on_mor(ids), D.identity(P.on_obj(X)), ("id", X))
+    afters = [by_source(S.src, hs) for S, hs in zip(P.sources, hom_lists)]
     for fs in mor_tuples:
-        for gs in mor_tuples:
-            if any(S.src(g) != S.tgt(f) for S, f, g in zip(P.sources, fs, gs)):
-                continue
+        for gs in itertools.product(*(after.get(S.tgt(f), ())
+                                      for S, after, f in zip(P.sources, afters, fs))):
             report.evaluate("functor-composition",
                             lambda: P.on_mor(tuple(S.compose(g, f)
                                                    for S, f, g in zip(P.sources, fs, gs))),
@@ -701,10 +712,7 @@ def validate_nlinear_nat(theta: NLinearNat, objects: Sequence | None = None) -> 
         report.expect("component-typing",
                       (D.src(t), D.tgt(t)), (P.on_obj(()), Q.on_obj(())), "component")
         return report
-    wins = _windows(P, objects)
-    obj_tuples = list(itertools.product(*wins))
-    hom_lists = [[f for x in w for y in w for f in S.hom(x, y)]
-                 for S, w in zip(P.sources, wins)]
+    wins, obj_tuples, hom_lists = _windows(P, objects)
 
     for X in obj_tuples:
         t = theta.at(X)

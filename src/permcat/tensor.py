@@ -37,7 +37,7 @@ from .multicat import (
     initial_operad,
     terminal_multicat,
 )
-from .permcats import NLinearFunctor, NLinearNat, validate_nlinear
+from .permcats import NLinearFunctor, NLinearNat, by_source, validate_nlinear, window_mors
 from .perms import (
     FinMap,
     Permutation,
@@ -566,24 +566,20 @@ def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
     naturality against identity and collapse multifunctors."""
     report = CheckReport("comparison-functor-suite")
     S = s_functor(Ms)
-    frees = [FreePermCat(M, partial_homs=True) for M in Ms]
-    windows = [F.enumerate_objects(max_len) for F in frees]
-    mor_lists = [[m for a in w for b in w for m in F.hom(a, b)]
-                 for F, w in zip(frees, windows)]
+    windows = [F.enumerate_objects(max_len) for F in S.sources]
+    mor_lists = [window_mors(F, w) for F, w in zip(S.sources, windows)]
 
-    target = FreePermCat(tensor_grid(Ms))
     for xs in itertools.product(*windows):
-        ids = tuple(F.identity(x) for F, x in zip(frees, xs))
+        ids = tuple(F.identity(x) for F, x in zip(S.sources, xs))
         report.expect("preserves-identities",
-                      S.on_mor(ids), target.identity(S.on_obj(xs)), ("id", xs))
+                      S.on_mor(ids), S.target.identity(S.on_obj(xs)), ("id", xs))
+    afters = [by_source(F.src, ms) for F, ms in zip(S.sources, mor_lists)]
     for fs in itertools.product(*mor_lists):
-        for gs in itertools.product(*mor_lists):
-            if any(g.source != f.target for f, g in zip(fs, gs)):
-                continue
+        for gs in itertools.product(*(after.get(f.target, ()) for after, f in zip(afters, fs))):
             report.evaluate("preserves-composition",
                             lambda: S.on_mor(tuple(F.compose(g, f)
-                                                   for F, f, g in zip(frees, fs, gs))),
-                            lambda: target.compose(S.on_mor(gs), S.on_mor(fs)),
+                                                   for F, f, g in zip(S.sources, fs, gs))),
+                            lambda: S.target.compose(S.on_mor(gs), S.on_mor(fs)),
                             (fs, gs))
     report.absorb(validate_nlinear(S, objects=windows))
 

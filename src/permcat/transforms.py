@@ -37,10 +37,12 @@ from .permcats import (
     SymMonFunctor,
     identity_smf,
     perm_to_morphism,
+    by_source,
     smf_compose,
     sum_mors,
     sum_objs,
     validate_permcat,
+    window_mors,
 )
 from .perms import (
     FinMap,
@@ -140,11 +142,9 @@ def check_triangles(M: Multicat, C, max_len: int = 3, max_arity: int = 3,
     for x in window:
         report.expect("counit-after-free-unit",
                       eps_FM.on_obj(F_eta.on_obj(x)), x, ("object", x))
-    for x in window:
-        for y in window:
-            for mor in FM.hom(x, y):
-                report.expect("counit-after-free-unit",
-                              eps_FM.on_mor(F_eta.on_mor(mor)), mor, ("morphism", mor))
+    for mor in window_mors(FM, window):
+        report.expect("counit-after-free-unit",
+                      eps_FM.on_mor(F_eta.on_mor(mor)), mor, ("morphism", mor))
 
     E = endo_multicat(C)
     eps_C = (counit or epsilon)(C)
@@ -154,12 +154,13 @@ def check_triangles(M: Multicat, C, max_len: int = 3, max_arity: int = 3,
         report.expect("endo-unit-after-unit",
                       E_eps.on_op(eta_E.on_op(op)), op, ("operation", op))
 
+    rho_C = rho(C)
     for x in C.object_list():
-        report.expect("counit-after-rho", eps_C.on_obj(rho(C).on_obj(x)), x, ("object", x))
+        report.expect("counit-after-rho", eps_C.on_obj(rho_C.on_obj(x)), x, ("object", x))
         for y in C.object_list():
             for f in C.hom(x, y):
                 report.expect("counit-after-rho",
-                              eps_C.on_mor(rho(C).on_mor(f)), f, ("morphism", f))
+                              eps_C.on_mor(rho_C.on_mor(f)), f, ("morphism", f))
     return report
 
 
@@ -181,8 +182,7 @@ def epsilon_square(P: NLinearFunctor) -> CheckReport:
     mor_lists = []
     for E in Es:
         FE = FreePermCat(E)
-        window = FE.enumerate_objects(SQUARE_LEN)
-        mor_lists.append([m for x in window for y in window for m in FE.hom(x, y)])
+        mor_lists.append(window_mors(FE, FE.enumerate_objects(SQUARE_LEN)))
     report = CheckReport("counit-naturality")
     images = {}  # (factor, window index) -> counit image
 
@@ -223,7 +223,8 @@ def mark_category(C: FinPermCat) -> MarkedPermCat:
     zero = _fresh("mark:0", C.objects)
     id0 = _fresh("mark:id0", C.morphisms())
     e = C.unit
-    from_unit = [f for f in C.morphisms() if C.src(f) == e]
+    after = by_source(C.src, C.morphisms())
+    from_unit = after.get(e, [])
     # a prefix ``p`` is taken when some ``p;f`` already names a morphism
     prefix = _fresh("mark:t", {m[:-len(f) - 1] for m in C.morphisms()
                                for f in from_unit if m.endswith(f";{f}")})
@@ -244,9 +245,8 @@ def mark_category(C: FinPermCat) -> MarkedPermCat:
     composition[id0, id0] = id0
     for f, tf in t_mors.items():
         composition[tf, id0] = tf
-        for g in C.morphisms():
-            if C.src(g) == C.tgt(f):
-                composition[g, tf] = t_mors[C.compose(g, f)]
+        for g in after.get(C.tgt(f), ()):
+            composition[g, tf] = t_mors[C.compose(g, f)]
 
     sums = dict(C.sums)
     for x in objects:

@@ -185,6 +185,34 @@ def test_only_multicat_decides_the_composite_boundary():
     assert builders == [("multicat.py", "check_composite")], builders
 
 
+SOURCES, TARGETS = {"src", "source", "mor_src"}, {"tgt", "target", "mor_tgt"}
+
+
+def _mentions(node, names: set) -> bool:
+    """Whether a name or attribute in ``names`` occurs below ``node``."""
+    return any(getattr(n, "id", None) in names or getattr(n, "attr", None) in names
+               for n in ast.walk(node))
+
+
+def _skips_uncomposable(node) -> bool:
+    """An ``if`` that ``continue``s past a source/target mismatch."""
+    return (isinstance(node, ast.If) and any(isinstance(s, ast.Continue) for s in node.body)
+            and any(isinstance(c, ast.Compare) and any(isinstance(op, ast.NotEq) for op in c.ops)
+                    and _mentions(c, SOURCES) and _mentions(c, TARGETS)
+                    for c in ast.walk(node.test)))
+
+
+def test_only_by_source_answers_what_can_follow():
+    """``permcats.by_source`` alone groups morphisms by source; no function
+    scans pairs and skips those that do not compose."""
+    offenders = sorted({(path.name, function)
+                        for path in sorted(SRC.glob("*.py"))
+                        for function, node in _nodes(_tree(path))
+                        if _callee(node) == "setdefault" and _mentions(node.args[0], SOURCES)
+                        or _skips_uncomposable(node)})
+    assert offenders == [("permcats.py", "by_source")], offenders
+
+
 def _callee(node):
     """``f`` of a call ``f(...)`` or ``x.f(...)``; None for any other node."""
     func = getattr(node, "func", None)

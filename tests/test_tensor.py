@@ -508,7 +508,7 @@ class TestCompositeCounts:
             "constraint-symmetry": 30, "constraint-2x2": 72, "two-naturality": 24}
         assert sum(asked.values()) == 528
         assert built == Counter(dict.fromkeys(asked, 1))
-        assert len(built) == 4
+        assert len(built) == 2
 
 
 def swap_without_transposition():
@@ -577,7 +577,7 @@ class TestSImageCounts:
         assert set(by_functor.values()) == {1}
         per_kind = Counter(name for _, name, _ in by_functor)
         assert per_kind == {"s_object": 62, "tensor_op": 18, "product_map": 45,
-                            "s_constraint_map": 40, "unit": 4}
+                            "s_constraint_map": 40, "unit": 2}
         assert asked == {"object": 4164, "tensor_op": 172, "product": 339,
                          "shuffle": 942, "unit": 996}
 
