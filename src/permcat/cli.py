@@ -80,8 +80,22 @@ def _write_report(out_path: str | None, payload) -> None:
             handle.write(dumps(payload))
 
 
+def _say(text: str) -> None:
+    """Print ``text``.  Once the reader of stdout has gone, the rest of
+    the output goes to ``os.devnull``, so the command still runs to its
+    verdict."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report: CheckReport, out_path: str | None) -> int:
-    print(report.summary())
+    _say(report.summary())
     _write_report(out_path, report.as_json())
     return 0 if report.passed else 1
 
@@ -113,16 +127,16 @@ def cmd_free(args) -> int:
             morphisms = free_hom(M, src, tgt)
         except BoundExceededError as exc:
             raise DocumentError(str(exc))
-        print(f"hom({','.join(src) or '()'} -> {','.join(tgt) or '()'}): "
-              f"{len(morphisms)} morphisms")
+        _say(f"hom({','.join(src) or '()'} -> {','.join(tgt) or '()'}): "
+             f"{len(morphisms)} morphisms")
         payload = []
         for mor in morphisms:
             payload.append({"index_map": {"domain": mor.index_map.domain,
                                           "codomain": mor.index_map.codomain,
                                           "images": list(mor.index_map.images)},
                             "operations": [str(op) for op in mor.ops]})
-            print(f"  index map {list(mor.index_map.images)} "
-                  f"operations {[str(op) for op in mor.ops]}")
+            _say(f"  index map {list(mor.index_map.images)} "
+                 f"operations {[str(op) for op in mor.ops]}")
         _write_report(args.report, {"hom": payload,
                                      "source": list(src), "target": list(tgt)})
         return 0
@@ -142,9 +156,9 @@ def cmd_endo(args) -> int:
         if _profile(target, C.objects) != (target,):
             raise DocumentError(f"--ops TARGET must be one object, not {target!r}")
         ops = E.ops(target, profile)
-        print(f"operations({target}; {','.join(profile) or '()'}): {len(ops)}")
+        _say(f"operations({target}; {','.join(profile) or '()'}): {len(ops)}")
         for op in ops:
-            print(f"  {op.mor}")
+            _say(f"  {op.mor}")
         _write_report(args.report, {"target": target, "profile": list(profile),
                                     "operations": [str(op.mor) for op in ops]})
         return 0
@@ -180,12 +194,12 @@ def cmd_tensor_s(args) -> int:
             b = int(args.constraint[0])
             hat = _profile(args.constraint[1], Ms[b - 1].objects)
         image = s_object(Ms, xs)
-        print(f"S{tuple(','.join(x) or '()' for x in xs)} = {list(image)}")
+        _say(f"S{tuple(','.join(x) or '()' for x in xs)} = {list(image)}")
         payload["object_image"] = [list(map(str, cell)) if isinstance(cell, tuple)
                                    else str(cell) for cell in image]
         if args.constraint:
             rho_map = s_constraint_map(b, tuple(len(x) for x in xs), len(hat))
-            print(f"constraint {b} index map: {list(rho_map.images)}")
+            _say(f"constraint {b} index map: {list(rho_map.images)}")
             payload["constraint_index_map"] = list(rho_map.images)
     _write_report(args.report, payload)
     return 0
@@ -296,7 +310,12 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

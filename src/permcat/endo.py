@@ -12,6 +12,7 @@ functor is its 1-ary case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ComposabilityError
 from .multicat import MultiNat, MulticatView, Multifunctor
@@ -178,25 +179,19 @@ def decomposable_endo_multifunctor(P: NLinearFunctor) -> Multifunctor:
     """The action of a multilinear functor packaged as a multifunctor on
     the grid fragment of the endomorphism multicategories.
 
-    Each action is computed once per raw operation: the ``EndoOp`` itself
-    in the unary case, its components and twist otherwise.  The action
-    reads only those, so the memo is exact, where the canonical key of a
-    grid operation would cost a gauge minimisation per lookup and merge
-    normal forms whose raw actions can differ.  Only values are kept: a call
-    that raises raises again."""
+    Each action is cached per raw operation (see the memo rule in the
+    README): the ``EndoOp`` itself in the unary case, its components and
+    twist otherwise."""
     Es = tuple(endo_multicat(S) for S in P.sources)
     ED = endo_multicat(P.target)
     unary = len(Es) == 1    # the grid of one factor is that factor itself
-    actions = {}
+    if unary:
+        on_op = cache(lambda op: endo_action(P, (op,)))
+    else:
+        action = cache(lambda components, twist: ED.act(endo_action(P, components), twist))
 
-    def on_op(op):
-        key = op if unary else (op.components, op.twist)
-        action = actions.get(key)
-        if action is None:
-            action = actions[key] = (
-                endo_action(P, (op,)) if unary
-                else ED.act(endo_action(P, op.components), op.twist))
-        return action
+        def on_op(op):
+            return action(op.components, op.twist)
 
     def on_obj(obj):
         return P.on_obj((obj,) if unary else obj)

@@ -349,13 +349,11 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     witnessed ``ill-typed``.
 
     The window operations are numbered once, and each composite and each
-    action of them is computed at most once per call: it is kept under the
-    indices of its operands (and the images of the permutation), as the
-    window's own operation with its index when it is one, so the next
-    composition or action of a leg is a lookup too.  An operand outside
-    the window is composed or acted on by value.  Only values are kept; a
-    composite or action that raises raises again for every instance that
-    needs it, so each such instance is unknown or ill-typed on its own.
+    action of them is cached per call under the indices of its operands
+    (and the images of the permutation; see the memo rule in the README),
+    as the window's own operation with its index when it is one, so the
+    next composition or action of a leg is a lookup too.  An operand
+    outside the window is composed or acted on by value.
     """
     A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport(getattr(M, "name", "multicat"))
@@ -367,8 +365,6 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     by_output = _by_output((target, profile, index[op]) for target, profile, op in entries)
     arity = [len(profile) for _, profile, _ in entries]
     perms = functools.cache(lambda n: list(all_perms(n)))
-    composites = {}
-    actions = {}
 
     def numbered(op) -> tuple:
         """``op`` with its window index: the window's own pair when ``op``
@@ -379,16 +375,17 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     def values(js: tuple) -> tuple:
         return tuple(map(ops.__getitem__, js))
 
+    window_composite = functools.cache(lambda i, js: numbered(M.compose(ops[i], values(js))))
+    window_action = functools.cache(
+        lambda i, images: numbered(M.act(ops[i], Permutation(images))))
+
     def composite(outer: tuple, js: tuple) -> tuple:
         """The numbered ``outer`` composed with the window operations
         ``js``, numbered."""
         value, i = outer
         if i is None:
             return numbered(M.compose(value, values(js)))
-        hit = composites.get((i, js))
-        if hit is None:
-            hit = composites[i, js] = numbered(M.compose(value, values(js)))
-        return hit
+        return window_composite(i, js)
 
     def compose(outer: tuple, inners: tuple) -> tuple:
         """:func:`composite` with numbered inner operations."""
@@ -402,10 +399,7 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
         value, i = op
         if i is None:
             return numbered(M.act(value, sigma))
-        hit = actions.get((i, sigma.images))
-        if hit is None:
-            hit = actions[i, sigma.images] = numbered(M.act(value, sigma))
-        return hit
+        return window_action(i, sigma.images)
 
     for c in objs:
         u = M.unit(c)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import BoundExceededError, ComposabilityError, MalformedStructureError
@@ -158,12 +159,10 @@ def validate_permcat(C, objects: Sequence | None = None,
     ill-typed components (a leg that cannot even be composed) are
     violations.
 
-    The window morphisms are numbered once, and each pair of them is
-    composed at most once per call: the composite is kept under the index
-    pair, as the window's own morphism when it is one, so the next
-    composition of an associativity leg is a lookup too.  Only values are
-    kept; a composition that raises raises again for every instance that
-    needs it, so each such instance is unknown or ill-typed on its own.
+    The window morphisms are numbered once, and the composite of each pair
+    of them is cached per call under the index pair (see the memo rule in
+    the README), as the window's own morphism when it is one, so the next
+    composition of an associativity leg is a lookup too.
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
@@ -172,23 +171,24 @@ def validate_permcat(C, objects: Sequence | None = None,
 
     index = {f: i for i, f in enumerate(dict.fromkeys(mors + heavy))}
     window = list(index)
-    composites = {}
 
     def numbered(f) -> tuple:
         """``f`` with its window index, ``None`` outside the window."""
         return f, index.get(f)
+
+    @cache
+    def composite(i: int, j: int) -> tuple:
+        """The window morphism ``i`` after ``j``, numbered."""
+        gf = C.compose(window[i], window[j])
+        k = index.get(gf)
+        return (gf, None) if k is None else (window[k], k)
 
     def comp(g: tuple, f: tuple) -> tuple:
         """``g`` after ``f`` on numbered morphisms, numbered."""
         (gv, i), (fv, j) = g, f
         if i is None or j is None:
             return C.compose(gv, fv), None
-        hit = composites.get((i, j))
-        if hit is None:
-            gf = C.compose(gv, fv)
-            k = index.get(gf)
-            hit = composites[i, j] = (gf, None) if k is None else (window[k], k)
-        return hit
+        return composite(i, j)
 
     def compose(g, f):
         return comp(numbered(g), numbered(f))[0]

@@ -18,8 +18,9 @@ grid source, and :func:`check_s_suite`, the coherence suite of ``S``.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .errors import ComposabilityError, UnsupportedFragmentError
 from .free import (
@@ -196,7 +197,11 @@ def tensor_op_transposed(Ms: tuple, phi, psi) -> DecompOp:
 
 
 class TensorGridView(Multicat):
-    """The grid fragment of an n-fold tensor product, ``n >= 2``."""
+    """The grid fragment of an n-fold tensor product, ``n >= 2``.
+
+    A view caches its units per object tuple and its composites per raw
+    normal form of the arguments (components and twists): see the memo
+    rule in the README."""
 
     def __init__(self, factors: tuple):
         self.factors = tuple(factors)
@@ -206,21 +211,11 @@ class TensorGridView(Multicat):
             self.objects = tuple(itertools.product(*(M.object_list() for M in self.factors)))
         else:
             self.objects = None
-        self._composites = {}
-        self._units = {}
-
-    def unit(self, obj: tuple) -> DecompOp:
-        """The tensor of the factor units, built once per object tuple;
-        only values are kept, as in :meth:`compose`."""
-        unit = self._units.get(obj)
-        if unit is None:
-            unit = self._units[obj] = self._unit(obj)
-        return unit
-
-    def _unit(self, obj: tuple) -> DecompOp:
-        return make_decomp(self.factors,
-                           tuple(M.unit(c) for M, c in zip(self.factors, obj)),
-                           identity_perm(1))
+        factors = self.factors
+        self.unit = cache(lambda obj: make_decomp(
+            factors, tuple(M.unit(c) for M, c in zip(factors, obj)), identity_perm(1)))
+        view = weakref.ref(self)    # a dropped view is freed at once, not by the collector
+        self._composite = cache(lambda *raw: view()._raw_composite(*raw))
 
     def output_of(self, op: DecompOp) -> tuple:
         return tuple(M.output_of(c) for M, c in zip(self.factors, op.components))
@@ -270,19 +265,16 @@ class TensorGridView(Multicat):
                            perm_compose(op.twist, sigma))
 
     def compose(self, outer: DecompOp, inners: tuple) -> DecompOp:
-        """The grid composite, built once per raw normal form of the
-        arguments (components and twists).  The construction reads only
-        those, so the memo is exact; the canonical key would cost a gauge
-        minimisation per lookup and would merge gauge-equivalent forms,
-        whose raw composites, and whether they are grid-aligned at all,
-        can differ.  Only values are kept: a call that raises raises again."""
-        inners = tuple(inners)
-        key = (outer.components, outer.twist,
-               tuple((inner.components, inner.twist) for inner in inners))
-        composite = self._composites.get(key)
-        if composite is None:
-            composite = self._composites[key] = self._compose(outer, inners)
-        return composite
+        """The grid composite.  The construction reads only the raw normal
+        forms of the arguments, and whether a composite is grid-aligned at
+        all can differ between gauge-equivalent forms."""
+        return self._composite(outer.components, outer.twist,
+                               tuple((inner.components, inner.twist) for inner in inners))
+
+    def _raw_composite(self, components: tuple, twist: Permutation,
+                       inner_forms: tuple) -> DecompOp:
+        return self._compose(make_decomp(self.factors, components, twist),
+                             tuple(make_decomp(self.factors, *form) for form in inner_forms))
 
     def _compose(self, outer: DecompOp, inners: tuple) -> DecompOp:
         self.check_composite(outer, inners)
@@ -396,21 +388,26 @@ def braid_multifunctor(M1: Multicat, M2: Multicat) -> Multifunctor:
 
 
 class SPieces:
-    """The small pieces ``S`` builds on the factors ``Ms``, each built once
-    per raw argument: object images keyed by the tuple of factor profiles,
-    tensor operations by their raw components, index products by the tuple
-    of factor maps, and constraint shuffles by ``(b, sizes, hat_b)``.
-
-    A component that is itself a grid operation is keyed by its components
-    and twist, as :meth:`TensorGridView.compose` keys them: its canonical
-    key would merge gauge-equivalent forms whose tensors differ.  One
-    instance belongs to one induced functor (see :func:`s_functor`).  Only
-    values are kept, so a construction that raises raises again.
+    """The small pieces ``S`` builds on the factors ``Ms``, cached per raw
+    argument (see the memo rule in the README): object images by the factor
+    profiles, tensor operations by their components, index products by the
+    factor maps, and constraint shuffles by ``(b, sizes, hat_b)``.  The
+    operations of a grid factor, and only those, are grid operations; each
+    is keyed by its components and twist and rebuilt on a miss.  Each part
+    of a key is a separate argument, so the call's argument tuple is the
+    cache key; a single tuple argument would be wrapped in one more tuple
+    per entry.  One instance belongs to one induced functor (see
+    :func:`s_functor`).
     """
 
     def __init__(self, Ms: tuple):
         self.Ms = Ms
-        self._objects, self._ops, self._products, self._shuffles = {}, {}, {}, {}
+        grids = tuple(M.factors if isinstance(M, TensorGridView) else None for M in Ms)
+        self._objects = cache(lambda *xs: s_object(Ms, xs))
+        self._ops = cache(lambda *raw: tensor_op(Ms, tuple(
+            c if grid is None else make_decomp(grid, *c) for grid, c in zip(grids, raw))))
+        self.product = cache(lambda *maps: product_map(maps))
+        self.shuffle = cache(lambda b, sizes, hat_b: s_constraint_map(b, sizes, hat_b))
 
     @cached_property
     def grid(self) -> Multicat:
@@ -418,32 +415,11 @@ class SPieces:
         return tensor_grid(self.Ms)
 
     def object(self, xs: tuple) -> Profile:
-        xs = tuple(map(tuple, xs))
-        image = self._objects.get(xs)
-        if image is None:
-            image = self._objects[xs] = s_object(self.Ms, xs)
-        return image
+        return self._objects(*map(tuple, xs))
 
     def tensor_op(self, ops: tuple) -> DecompOp:
-        key = tuple((c.components, c.twist) if c.__class__ is DecompOp else c
-                    for c in ops)
-        op = self._ops.get(key)
-        if op is None:
-            op = self._ops[key] = tensor_op(self.Ms, ops)
-        return op
-
-    def product(self, maps: tuple) -> FinMap:
-        index = self._products.get(maps)
-        if index is None:
-            index = self._products[maps] = product_map(maps)
-        return index
-
-    def shuffle(self, b: int, sizes: tuple, hat_b: int) -> FinMap:
-        key = (b, sizes, hat_b)
-        rho = self._shuffles.get(key)
-        if rho is None:
-            rho = self._shuffles[key] = s_constraint_map(b, sizes, hat_b)
-        return rho
+        return self._ops(*((c.components, c.twist) if c.__class__ is DecompOp else c
+                           for c in ops))
 
 
 def s_object(Ms: tuple, xs: tuple) -> Profile:
@@ -466,7 +442,7 @@ def s_morphism(Ms: tuple, mors: tuple, pieces: SPieces | None = None) -> FreeMor
         return mors[0]
     if pieces is None:
         pieces = SPieces(Ms)
-    index = pieces.product(tuple(m.index_map for m in mors))
+    index = pieces.product(*(m.index_map for m in mors))
     targets = tuple(tuple(m.target) for m in mors)
     t_sizes = tuple(len(t) for t in targets)
     ops = tuple(

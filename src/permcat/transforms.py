@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .endo import (
     EndoOp,
@@ -173,8 +174,8 @@ def epsilon_square(P: NLinearFunctor) -> CheckReport:
     every tuple of free morphisms between objects of length at most
     :data:`SQUARE_LEN`.  It fails for the bilinear sign multiplication,
     whose linearity constraint is not an identity, and holds for its strict
-    variant.  Each factor's counit image of each window morphism is
-    computed once per call, on first use."""
+    variant.  Each factor's counit image of each window morphism is cached
+    per call, keyed by factor and window index."""
     Es = tuple(endo_multicat(S) for S in P.sources)
     counits = tuple(epsilon(S) for S in P.sources)
     eps_D = epsilon(P.target)
@@ -184,13 +185,7 @@ def epsilon_square(P: NLinearFunctor) -> CheckReport:
         FE = FreePermCat(E)
         mor_lists.append(window_mors(FE, FE.enumerate_objects(SQUARE_LEN)))
     report = CheckReport("counit-naturality")
-    images = {}  # (factor, window index) -> counit image
-
-    def counit_image(b, i):
-        image = images.get((b, i))
-        if image is None:
-            image = images[b, i] = counits[b].on_mor(mor_lists[b][i])
-        return image
+    counit_image = cache(lambda b, i: counits[b].on_mor(mor_lists[b][i]))
 
     for idx in itertools.product(*(range(len(ms)) for ms in mor_lists)):
         mors = tuple(ms[i] for ms, i in zip(mor_lists, idx))

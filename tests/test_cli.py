@@ -288,3 +288,22 @@ class TestReports:
             assert result.returncode == 0, result.stderr
             outputs.append((out_path.read_bytes(), result.stdout))
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["endo", doc("sign.json"), "--max-arity", "3"], 0),
+    (["validate", doc("mutant-multicat-unity.json")], 1),
+], ids=["endo-pass", "validate-fail"])
+def test_a_reader_that_leaves_early_keeps_the_verdict(argv, code):
+    """``permcat ... | head -1``: once stdout's reader has gone, the output
+    ends quietly and the exit code is still the verdict's."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "permcat.cli", *argv], stdout=writer,
+            stderr=subprocess.PIPE, text=True, cwd=str(ROOT),
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    finally:
+        os.close(writer)
+    assert (result.returncode, result.stderr) == (code, "")

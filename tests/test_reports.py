@@ -213,6 +213,20 @@ def test_only_by_source_answers_what_can_follow():
     assert offenders == [("permcats.py", "by_source")], offenders
 
 
+def test_memos_are_per_owner_caches():
+    """A computation is memoised by a per-owner ``functools.cache`` on a
+    function of its raw key, never by a chained ``x = d[k] = ...`` store
+    after a missed lookup.  The one chained store left registers an axiom
+    in ``CheckReport.check``; it caches no computation."""
+    stores = [(path.name, function, node.lineno)
+              for path in sorted(SRC.glob("*.py"))
+              for function, node in _nodes(_tree(path))
+              if isinstance(node, ast.Assign) and len(node.targets) > 1
+              and any(isinstance(target, ast.Subscript) for target in node.targets)]
+    assert [(name, function) for name, function, _ in stores] == [("reports.py", "check")], \
+        stores
+
+
 def _callee(node):
     """``f`` of a call ``f(...)`` or ``x.f(...)``; None for any other node."""
     func = getattr(node, "func", None)

@@ -158,13 +158,14 @@ class TestGridComposition:
         outer = tensor_op((SIGNS2, SIGNS2), ("+1", "+2"))
         good = tensor_op((SIGNS2, SIGNS2), ("+1", "+1"))
         bad = tensor_op((SIGNS2, SIGNS2), ("-1", "+1"))
-        # a failed composite is not kept: every repeat raises again
+        # a failed composite is not kept: every repeat is built and raises again
         for _ in range(3):
             with pytest.raises(UnsupportedFragmentError):
                 view.compose(outer, (good, bad))
             with pytest.raises(ComposabilityError):
                 view.compose(outer, (good,))
-        assert view._composites == {}
+        info = view._composite.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 6, 0)
         # distinct slots in the same factor may differ: that is aligned
         outer2 = tensor_op((SIGNS2, SIGNS2), ("+2", "+1"))
         assert view.compose(outer2, (good, bad)) == tensor_op(
@@ -184,7 +185,7 @@ class TestGridComposition:
             fresh = tensor_grid(Ms).compose(outer, units)
             assert (composite.components, composite.twist) == (fresh.components, fresh.twist)
         assert composites[0].components != composites[1].components
-        assert len(view._composites) == 2
+        assert view._composite.cache_info().currsize == 2
 
     @pytest.mark.parametrize("factors", [
         (SIGNS2, TWO), (SWAP, SIGNS2),
@@ -531,55 +532,43 @@ class TestSImageCounts:
         "constraint-symmetry": 30, "constraint-2x2": 72, "two-naturality": 30}
 
     def test_check_s_builds_each_piece_once_per_functor(self, monkeypatch):
-        owners, asked, built = [], Counter(), Counter()
+        pieces, views, kernel_calls = [], [], Counter()
 
-        def asking(method):
+        def recording(cls, instances):
+            init = cls.__init__
+
             def wrapper(self, *args):
-                asked[method.__name__] += 1
-                owners.append(self)
-                try:
-                    return method(self, *args)
-                finally:
-                    owners.pop()
+                init(self, *args)
+                instances.append(self)
             return wrapper
 
-        def building(name, construct, key):
+        def counting(name, kernel):
             def wrapper(*args):
-                built[owners[-1] if owners else None, name, key(args)] += 1
-                return construct(*args)
+                kernel_calls[name] += 1
+                return kernel(*args)
             return wrapper
 
-        for method in ("object", "tensor_op", "product", "shuffle"):
-            monkeypatch.setattr(SPieces, method, asking(getattr(SPieces, method)))
-        for name, key in [("s_object", lambda args: args[1]),
-                          ("tensor_op", lambda args: args[1]),
-                          ("product_map", lambda args: args[0]),
-                          ("s_constraint_map", lambda args: args)]:
-            monkeypatch.setattr(tensor, name, building(name, getattr(tensor, name), key))
-        unit, build_unit = TensorGridView.unit, TensorGridView._unit
-
-        def asking_unit(self, obj):
-            asked["unit"] += 1
-            return unit(self, obj)
-
-        def building_unit(self, obj):
-            built[self, "unit", obj] += 1
-            return build_unit(self, obj)
-
-        monkeypatch.setattr(TensorGridView, "unit", asking_unit)
-        monkeypatch.setattr(TensorGridView, "_unit", building_unit)
+        monkeypatch.setattr(SPieces, "__init__", recording(SPieces, pieces))
+        monkeypatch.setattr(TensorGridView, "__init__", recording(TensorGridView, views))
+        for name in ("s_object", "s_constraint_map"):
+            monkeypatch.setattr(tensor, name, counting(name, getattr(tensor, name)))
         report = check_s_suite((terminal_multicat(3), TWO), 1)
         assert report.passed, report.summary()
         assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
-        # every piece is built under the functor that asked for it, once;
-        # the index products of grid composites are built outside S
-        by_functor = {k: n for k, n in built.items() if k[0] is not None}
-        assert set(by_functor.values()) == {1}
-        per_kind = Counter(name for _, name, _ in by_functor)
-        assert per_kind == {"s_object": 62, "tensor_op": 18, "product_map": 45,
-                            "s_constraint_map": 40, "unit": 2}
-        assert asked == {"object": 4164, "tensor_op": 172, "product": 339,
-                         "shuffle": 942, "unit": 996}
+        infos = {kind: [cached(owner).cache_info() for owner in owners]
+                 for kind, owners, cached in [
+                     ("object", pieces, lambda p: p._objects),
+                     ("tensor_op", pieces, lambda p: p._ops),
+                     ("product", pieces, lambda p: p.product),
+                     ("shuffle", pieces, lambda p: p.shuffle),
+                     ("unit", views, lambda v: v.unit)]}
+        # a call is a hit or a miss, and every miss builds the piece under
+        # the functor (or grid view) that asked for it
+        assert {kind: sum(i.hits + i.misses for i in info) for kind, info in infos.items()} == {
+            "object": 4164, "tensor_op": 172, "product": 339, "shuffle": 942, "unit": 996}
+        assert {kind: sum(i.misses for i in info) for kind, info in infos.items()} == {
+            "object": 62, "tensor_op": 18, "product": 45, "shuffle": 40, "unit": 2}
+        assert kernel_calls == {"s_object": 62, "s_constraint_map": 40}
 
     def test_a_raising_tensor_op_raises_on_every_call(self, monkeypatch):
         broken = swap_without_transposition()
@@ -625,5 +614,6 @@ class TestSImageCounts:
         assert images[0] is not images[1]
         for image, component in zip(images, (slid, twisted)):
             fresh = tensor_op((G, TWO), (component, "ua"))
-            assert image.components[0] is component
+            nested = image.components[0]
+            assert (nested.components, nested.twist) == (component.components, component.twist)
             assert (image.components[1], image.twist) == (fresh.components[1], fresh.twist)

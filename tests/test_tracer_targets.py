@@ -5,13 +5,15 @@ The tracer module is only loaded, never installed."""
 import dataclasses
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from permcat import tensor
+from permcat import endo, tensor
 from permcat.endo import endo_multicat
-from permcat.fixtures import sign_permcat, two_object_multicat
+from permcat.fixtures import POS, sign_multiplication, sign_permcat, two_object_multicat
 from permcat.free import free_identity
 from permcat.multicat import identity_multifunctor, terminal_multicat
+from permcat.perms import Permutation, identity_perm
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -59,3 +61,45 @@ def test_induced_functors_reach_the_module_s_morphism(monkeypatch):
     grid = tensor.tensor_grid(Ms)
     tensor.f_multi(identity_multifunctor(grid), Ms).on_mor(mors)
     assert calls == [Ms, Ms]
+
+
+def test_cached_functors_reach_the_module_kernels_once_per_raw_key(monkeypatch):
+    """The actions of ``decomposable_endo_multifunctor`` and the tensor
+    operations of ``S`` are cached per functor, and each miss calls
+    ``endo_action`` or ``tensor_op`` through the module global, so a wrapper
+    installed there before the functor is built counts every raw key once."""
+    actions, tensors = Counter(), Counter()
+    endo_action, tensor_op = endo.endo_action, tensor.tensor_op
+
+    def counting_action(P, components):
+        actions[components] += 1
+        return endo_action(P, components)
+
+    def counting_tensor(Ms, ops):
+        tensors[ops] += 1
+        return tensor_op(Ms, ops)
+
+    P = sign_multiplication(POS, POS)
+    E = endo_multicat(P.sources[0])
+    binary, unary = E.ops("0", ("1", "1"))[1], E.ops("1", ("1",))[1]
+    monkeypatch.setattr(endo, "endo_action", counting_action)
+    monkeypatch.setattr(tensor, "tensor_op", counting_tensor)
+
+    F = endo.decomposable_endo_multifunctor(P)
+    grid_ops = [tensor.make_decomp(F.source.factors, components, twist)
+                for components, twist in [((binary, unary), identity_perm(2)),
+                                          ((binary, unary), Permutation((2, 1))),
+                                          ((unary, unary), identity_perm(1))]]
+    for _ in range(2):
+        for op in grid_ops:
+            F.on_op(op)
+    # one action per raw key: the two twists of one pair of components differ
+    assert actions == {(binary, unary): 2, (unary, unary): 1}
+
+    Ms = (terminal_multicat(2), two_object_multicat())
+    mors = (free_identity(Ms[0], ("*",)), free_identity(Ms[1], ("a", "b")))
+    for S in (tensor.s_functor(Ms), tensor.s_functor(Ms)):
+        for _ in range(2):
+            S.on_mor(mors)
+    # one tensor operation per grid entry and functor
+    assert len(tensors) == 2 and set(tensors.values()) == {2}
