@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BoundExceededError,
@@ -323,19 +323,16 @@ def _by_output(entries: Iterable[tuple]) -> dict:
     return by_output
 
 
-def _inner_tuples(by_output: dict, input_profile: Profile, budget: int) -> Iterator[tuple]:
+def _inner_tuples(by_output: dict, input_profile: Profile, budget: int) -> list[tuple]:
     """All tuples of operations matching the input profile slotwise, with
-    total arity at most ``budget``."""
-    if not input_profile:
-        yield ()
-        return
-    head, rest = input_profile[0], input_profile[1:]
-    for profile, op in by_output.get(head, ()):
-        remaining = budget - len(profile)
-        if remaining < 0:
-            continue
-        for tail in _inner_tuples(by_output, rest, remaining):
-            yield (op,) + tail
+    total arity at most ``budget``, lexicographic in slot order."""
+    tuples = [((), budget)]
+    for slot in input_profile:
+        tuples = [(ops + (op,), left - len(profile))
+                  for ops, left in tuples
+                  for profile, op in by_output.get(slot, ())
+                  if len(profile) <= left]
+    return [ops for ops, _ in tuples]
 
 
 def validate_multicat(M: Multicat, max_arity: int | None = None,
@@ -353,7 +350,9 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     (and the images of the permutation; see the memo rule in the README),
     as the window's own operation with its index when it is one, so the
     next composition or action of a leg is a lookup too.  An operand
-    outside the window is composed or acted on by value.
+    outside the window is composed or acted on by value.  The tuples of
+    window operations that fill a slot profile are enumerated once per
+    profile and call, for composition typing and associativity alike.
     """
     A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport(getattr(M, "name", "multicat"))
@@ -375,6 +374,8 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     def values(js: tuple) -> tuple:
         return tuple(map(ops.__getitem__, js))
 
+    slot_tuples = functools.cache(
+        lambda profile: [(js, values(js)) for js in _inner_tuples(by_output, profile, A)])
     window_composite = functools.cache(lambda i, js: numbered(M.compose(ops[i], values(js))))
     window_action = functools.cache(
         lambda i, images: numbered(M.act(ops[i], Permutation(images))))
@@ -436,15 +437,13 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     for (_, profile, _), outer in zip(entries, window):
         if not profile:
             continue
-        for js in _inner_tuples(by_output, profile, A):
-            inners = values(js)
-
+        for js, inners in slot_tuples(profile):
             # only composites that could be typed enter the index that the
             # equivariance and associativity checks run over
             def typed_composite():
                 result = composite(outer, js)
                 boundary = (M.output_of(result[0]), M.profile_of(result[0]))
-                composables.append((outer, js, result))
+                composables.append((outer, js, inners, result))
                 return boundary
 
             report.evaluate("composition-typing", typed_composite,
@@ -452,8 +451,7 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
                                      tuple(x for op in inners for x in M.profile_of(op))),
                             (outer[0], inners))
 
-    for outer, js, result in composables:
-        inners = values(js)
+    for outer, js, inners, result in composables:
         arities = tuple(M.arity_of(op) for op in inners)
         for s in perms(len(js)):
             report.evaluate("top-equivariance",
@@ -467,17 +465,17 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
                             lambda: act(result, block_sum(taus))[0],
                             (outer[0], inners, tuple(t.images for t in taus)))
 
-    for outer, mids, mid_comp in composables:
-        middles = values(mids)
+    for outer, mids, middles, mid_comp in composables:
         flat = tuple(x for m in middles for x in M.profile_of(m))
         ends = tuple(itertools.accumulate(arity[m] for m in mids))
-        chunked = tuple(zip(map(window.__getitem__, mids), (0,) + ends, ends))
-        for leaves in _inner_tuples(by_output, flat, A):
+        chunked = tuple(zip(mids, (0,) + ends, ends))
+        for leaves, leaf_ops in slot_tuples(flat):
             report.evaluate("associativity",
                             lambda: composite(mid_comp, leaves)[0],
                             lambda: compose(outer, tuple(
-                                composite(m, leaves[start:end]) for m, start, end in chunked))[0],
-                            (outer[0], middles, values(leaves)))
+                                window_composite(m, leaves[start:end])
+                                for m, start, end in chunked))[0],
+                            (outer[0], middles, leaf_ops))
 
     return report
 
@@ -489,6 +487,7 @@ def validate_multifunctor(H: Multifunctor, max_arity: int | None = None,
     A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport("multifunctor")
     by_output = _by_output(entries)
+    slot_tuples = functools.cache(lambda profile: _inner_tuples(by_output, profile, A))
 
     for c in objs:
         report.evaluate("unit-preservation", lambda: H.on_op(M.unit(c)),
@@ -512,7 +511,7 @@ def validate_multifunctor(H: Multifunctor, max_arity: int | None = None,
     for profile, outer in all_ops:
         if not profile:
             continue
-        for inners in _inner_tuples(by_output, profile, A):
+        for inners in slot_tuples(profile):
             report.evaluate("composition-preservation",
                             lambda: H.on_op(M.compose(outer, inners)),
                             lambda: N.compose(H.on_op(outer),

@@ -3,7 +3,8 @@
 Each validator evaluates both legs of every displayed diagram on every
 object tuple; nothing is normalized or inferred.  Violations carry the
 witness tuple.  Tightness (invertibility of all factorization morphisms)
-is reported in the metadata, not as an axiom.
+is reported in the metadata, not as an axiom; an inverse search that
+raises is an ill-typed ``factorization-invertibility`` violation.
 """
 from __future__ import annotations
 
@@ -238,8 +239,9 @@ def validate_ring_category(R: RingCatData) -> CheckReport:
 
     tight = True
     for a, b, c in itertools.product(objs, repeat=3):
-        if _is_invertible(C, dl(a, b, c)) is False or \
-                _is_invertible(C, dr(a, b, c)) is False:
+        if any(report.attempt("factorization-invertibility",
+                              lambda: _is_invertible(C, d(a, b, c)), (side, a, b, c)) is False
+               for side, d in (("left", dl), ("right", dr))):
             tight = False
     report.metadata["tight"] = tight
     return report
@@ -290,8 +292,10 @@ def validate_braided_ring(B: BraidedRingData) -> CheckReport:
         report.expect("braiding-typing",
                       (C.src(bxy), C.tgt(bxy)),
                       (P.on_obj(x, y), P.on_obj(y, x)), (x, y))
-        report.expect("braiding-invertible",
-                      bool(_is_invertible(C, bxy)), True, (x, y))
+        invertible = report.attempt("braiding-invertible",
+                                    lambda: _is_invertible(C, bxy), (x, y))
+        if invertible is not None:
+            report.expect("braiding-invertible", invertible, True, (x, y))
     for f, g in itertools.product(mors, repeat=2):
         report.evaluate("braiding-naturality",
                         lambda: C.compose(beta(C.tgt(f), C.tgt(g)), P.on_mor(f, g)),

@@ -290,6 +290,15 @@ class TestReports:
         assert outputs[0] == outputs[1]
 
 
+def test_python_dash_m_runs_the_cli_uninstalled():
+    result = subprocess.run(
+        [sys.executable, "-m", "permcat", "validate", doc("sign.json")],
+        capture_output=True, text=True, cwd=str(ROOT),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (GOLDEN / "validate-sign.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["endo", doc("sign.json"), "--max-arity", "3"], 0),
     (["validate", doc("mutant-multicat-unity.json")], 1),

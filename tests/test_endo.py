@@ -1,6 +1,11 @@
 """The endomorphism multicategory and its functor/action calculus."""
+import json
+import pathlib
+from collections import Counter
+
 import pytest
 
+from permcat.cli import run_command
 from permcat.endo import (
     EndoOp,
     basepoint_check,
@@ -22,6 +27,7 @@ from permcat.fixtures import (
     zmod_permcat,
 )
 from permcat.multicat import (
+    MulticatView,
     validate_multicat,
     validate_multifunctor,
     validate_multinat,
@@ -42,6 +48,7 @@ SUPER = super_sign_permcat()
 BOOL = bool_or_permcat()
 Z3 = zmod_permcat(3)
 S3 = s3_codiscrete_permcat()
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "documents"
 
 
 class TestEndoMulticat:
@@ -250,3 +257,32 @@ def _endo_action_factor2_first(P, mu1, mu2):
         P.on_mor((mu1.mor, mu2.mor)),
         D.compose(stage1, D.compose(sum_mors(D, stage2), shuffle)))
     return EndoOp(P.on_obj((mu1.target, mu2.target)), grid12, mor)
+
+
+class TestKernelWork:
+    """The work of ``permcat endo documents/sign.json --max-arity 3``, pinned:
+    a change that checks other instances, or asks the view for more
+    composites or actions, shows up here."""
+
+    INSTANCES = {
+        "unit-typing": 2, "symmetry-identity": 30, "symmetry-typing": 118,
+        "symmetry-action": 614, "left-unity": 30, "right-unity": 28,
+        "composition-typing": 2228, "top-equivariance": 11500,
+        "bottom-equivariance": 6116, "associativity": 200420,
+        "unit-preservation": 1, "operation-typing": 4,
+        "symmetry-preservation": 10, "composition-preservation": 34}
+
+    def test_endo_sign_arity_3(self, monkeypatch, tmp_path, capsys):
+        calls = Counter()
+        for name in ("compose", "act"):
+            def counting(self, *args, name=name, kernel=getattr(MulticatView, name)):
+                calls[name] += 1
+                return kernel(self, *args)
+
+            monkeypatch.setattr(MulticatView, name, counting)
+        out = tmp_path / "report.json"
+        argv = ["endo", str(DOCS / "sign.json"), "--max-arity", "3", "--report", str(out)]
+        assert run_command(argv) == 0
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert {c["axiom"]: c["instances"] for c in checks} == self.INSTANCES
+        assert calls == {"compose": 2264, "act": 128}

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from mutation import gamma_mutant, sigma_mutant, unit_mutant
+from permcat import multicat
 from permcat.endo import EndoOp, endo_multicat
 from permcat.errors import BoundExceededError, ComposabilityError, MalformedStructureError
 from permcat.fixtures import sign_operad, sign_permcat, swap_operad, two_object_multicat
@@ -292,6 +293,24 @@ class TestCompositeMemo:
         assert acts[withheld] == sum(ill_typed.values())
         assert len(report.violations()) == sum(ill_typed.values())
         assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
+
+
+class TestSlotTuples:
+    @pytest.mark.parametrize("validate", [
+        lambda: validate_multicat(endo_multicat(sign_permcat()), max_arity=3),
+        lambda: validate_multifunctor(identity_multifunctor(MTERM)),
+    ], ids=["multicat-endo-sign", "multifunctor-terminal"])
+    def test_each_slot_profile_enumerated_once(self, monkeypatch, validate):
+        calls = Counter()
+        enumerate_tuples = multicat._inner_tuples
+
+        def counting(by_output, profile, budget):
+            calls[profile] += 1
+            return enumerate_tuples(by_output, profile, budget)
+
+        monkeypatch.setattr(multicat, "_inner_tuples", counting)
+        validate()
+        assert calls and set(calls.values()) == {1}
 
 
 class TestTerminalAndInitial:

@@ -2,6 +2,8 @@
 import pytest
 
 from mutation import mutate_field
+from permcat import rings
+from permcat.errors import ComposabilityError
 from permcat.fixtures import (
     NEG,
     bool_en,
@@ -176,6 +178,22 @@ class TestBraidedRing:
         bad[("2", "3")] = neg("2")
         report = validate_braided_ring(BraidedRingData(B.ring, bad))
         assert "braiding-factorization" in report.violated_axioms()
+
+    def test_unknown_invertibility_is_not_a_violation(self, monkeypatch):
+        monkeypatch.setattr(rings, "_is_invertible", lambda C, f: None)
+        report = validate_braided_ring(sign_braided_ring())
+        assert report.passed, report.summary()
+        assert "braiding-invertible" not in {c.axiom for c in report.checks}
+
+    def test_raising_invertibility_is_a_counted_violation(self, monkeypatch):
+        def withheld(C, f):
+            raise ComposabilityError("composite withheld")
+
+        monkeypatch.setattr(rings, "_is_invertible", withheld)
+        report = validate_braided_ring(sign_braided_ring())
+        assert {"braiding-invertible", "factorization-invertibility"} <= set(
+            report.violated_axioms())
+        assert "tight" in report.metadata
 
 
 NFOLD = sign_nfold(3, 4)
