@@ -43,17 +43,13 @@ RING_VALIDATORS = {
 }
 
 
-# what a parser raises on a field of the wrong type or shape
-MALFORMED = (TypeError, ValueError, KeyError, AttributeError, IndexError)
-
-
 def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_document(handle.read())
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}")
-    except MALFORMED as exc:
+    except UnicodeDecodeError as exc:
         raise DocumentError(f"{path}: malformed document: {type(exc).__name__}: {exc}")
 
 

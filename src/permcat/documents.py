@@ -10,12 +10,14 @@ each kind's reader and writer, which add only the checks that need the
 structure itself (composable pairs, sigma, gamma).
 
 Parsing is total-or-error: a document yields a fully resolved structure
-with total tables for its declared bounds, or a :class:`DocumentError`
-naming the problem (syntax with position, an undeclared or missing field,
-a repeated id, key or row, an unresolved reference, a missing table entry,
-or a row outside its table's domain).  Serialization sorts keys and
-canonically orders every list so identical structures produce
-byte-identical documents.
+with total tables for its declared bounds, or a :class:`DocumentError`.
+Each rule is decided once, by one walk in document order that stops at
+the first row, cell or key breaking it and names that (syntax with
+position, an undeclared or missing field, a repeated id, key or row, an
+unresolved reference, a row outside its table's domain, or a missing
+table entry, each table's domain walked in its namespaces' order).
+Serialization sorts keys and canonically orders every list so identical
+structures produce byte-identical documents.
 """
 from __future__ import annotations
 
@@ -23,12 +25,10 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import factorial
 from operator import itemgetter
 
-from .multicat import FinMulticat, _by_output, _inner_tuples
+from .multicat import FinMulticat, gamma_domain
 from .permcats import FinPermCat, SymMonFunctor, MonoidalNat, by_source
-from .perms import all_perms
 from .rings import (
     BipermData,
     BraidedRingData,
@@ -51,11 +51,11 @@ def dumps(payload: dict) -> str:
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's members, refusing a key that appears twice."""
-    table = dict(pairs)
-    if len(table) < len(pairs):
-        seen = {}
-        for key, value in pairs:
-            _put(seen, key, value, "JSON object", "key")
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise DocumentError(f"JSON object: duplicate key {key!r}")
+        table[key] = value
     return table
 
 
@@ -74,12 +74,6 @@ def loads(text: str) -> dict:
     if type(version) is not int or version != VERSION:
         raise DocumentError(f"unsupported version {version!r}; expected {VERSION}")
     return payload
-
-
-def _put(table: dict, key, value, context: str, what: str) -> None:
-    if key in table:
-        raise DocumentError(f"{context}: duplicate {what} {key!r}")
-    table[key] = value
 
 
 def _name(payload: dict, default: str, context: str) -> str:
@@ -132,20 +126,9 @@ class Table:
         return itemgetter(*self.names[:len(self.keys)])
 
     @cached_property
-    def value_of(self) -> itemgetter:
-        return itemgetter(*self.names[len(self.keys):])
-
-    @cached_property
-    def checks(self) -> tuple:
-        """``(namespace, of values, getter)`` of each column checked at once:
-        the table's keys or values, through ``getter`` if there are several.
-        A total table's key columns but product indices are checked against
-        its domain instead."""
-        n, m = len(self.keys), len(self.values)
-        return tuple((space, i >= n, itemgetter(i - n * (i >= n))
-                      if (m if i >= n else n) > 1 else None)
-                     for i, (_, space) in enumerate(self.keys + self.values)
-                     if i >= n or not self.total or space == PRODUCT)
+    def value_of(self):
+        """A row's value, ``None`` for a fresh id."""
+        return itemgetter(*self.names[len(self.keys):]) if self.values else lambda row: None
 
 
 PAIR = (("left", OBJ), ("right", OBJ))
@@ -206,35 +189,25 @@ RING_FAMILY = {
 def _is_id(space, cell, scope: dict, op=None) -> bool:
     """Whether ``cell`` is an id of ``space`` (lists read as tuples); ``op``
     is the row's operation when ``space`` is PERM."""
+    if space in PLAIN:
+        return type(cell) is str and cell in scope[space]
     if type(space) is tuple:
         return type(cell) is tuple and all(_is_id(space[0], c, scope) for c in cell)
     if space == PERM:
         return type(cell) is tuple and all(type(i) is int for i in cell) \
             and sorted(cell) == list(range(1, len(scope[OP][op][1]) + 1))
-    return type(cell) is (int if space == PRODUCT else str) \
-        and (space == NEW or cell in scope[space])
-
-
-def _column_ok(space, cells, scope: dict, table: dict) -> bool:
-    """:func:`_is_id` for a whole column of a namespace not in PLAIN."""
-    if space == PERM:
-        return all(_is_id(PERM, perm, scope, op) for op, perm in table)
-    cells = list(cells)
-    if type(space) is tuple:
-        return set(map(type, cells)) <= {tuple} and all(
-            map(scope[space[0]].__contains__, itertools.chain.from_iterable(cells)))
-    return set(map(type, cells)) <= {str if space == NEW else int} \
-        and (space == NEW or all(map(scope[space].__contains__, cells)))
+    return type(cell) is str if space == NEW else type(cell) is int and cell in scope[PRODUCT]
 
 
 def _domain(spec: Table, scope: dict):
-    """The keys of a total table, kept in ``scope`` for like-keyed tables."""
+    """The keys of a total table in its namespaces' order, kept in ``scope``
+    for like-keyed tables."""
     if spec.keys not in scope:
         spaces = [scope[space] for _, space in spec.keys]
-        scope[spec.keys] = spaces[0].keys() if len(spaces) == 1 else \
-            {pair + key for pair, key in itertools.product(
-                itertools.combinations(spaces[0], 2), itertools.product(*spaces[2:]))} \
-            if spec.keys[0][1] == PRODUCT else set(itertools.product(*spaces))
+        scope[spec.keys] = spaces[0].keys() if len(spaces) == 1 else dict.fromkeys(
+            pair + key for pair, key in itertools.product(
+                itertools.combinations(spaces[0], 2), itertools.product(*spaces[2:]))) \
+            if spec.keys[0][1] == PRODUCT else dict.fromkeys(itertools.product(*spaces))
     return scope[spec.keys]
 
 
@@ -242,50 +215,24 @@ def _read_table(spec: Table, rows, scope: dict, where: str) -> dict:
     """The rows of ``spec`` as a dict from key (a tuple when there are
     several key columns) to value (likewise): every cell resolved in its
     namespace, lists read as tuples, no key twice and, if the table is
-    total, every key of its domain present."""
-    names = spec.names
-    try:  # the common case, checked a column at a time
-        if not spec.values:
-            table = dict.fromkeys(rows)
-            ok = type(rows) is list and len(table) == len(rows)
-        elif names[0] == 0:
-            table, ok = rows, type(rows) is dict
-        else:
-            for name, (_, space) in zip(names, spec.keys + spec.values):
-                for row in rows if type(space) is tuple or space == PERM else ():
-                    if type(row) is dict and type(row.get(name)) is list:
-                        row[name] = tuple(row[name])
-            table = dict(zip(map(spec.key_of, rows), map(spec.value_of, rows)))
-            ok = type(rows) is list and len(table) == len(rows) \
-                and sum(map(len, rows)) == len(names) * len(rows)
-        ok = ok and (not spec.total
-                     or table.keys() == (scope.get(spec.keys) or _domain(spec, scope)))
-        for space, of_values, get in spec.checks if ok else ():
-            cells = table.values() if of_values else table
-            cells = cells if get is None else map(get, cells)
-            ok = ok and (all(map(scope[space].__contains__, cells)) if space in PLAIN
-                         else _column_ok(space, cells, scope, table))
-    except (KeyError, TypeError):  # a row without a column, or an unhashable cell
-        ok = False
-    if not ok:
-        _reject(spec, rows, scope, where)
-    if spec.keys[0][1] == NEW:
-        scope[spec.noun] = table
-    return table
-
-
-def _reject(spec: Table, rows, scope: dict, where: str):
-    """Raise a DocumentError naming the first row, cell, key or missing key
-    of ``rows`` that :func:`_read_table` does not accept."""
-    names, seen = spec.names, {}
-    if names[0] == 0:
+    total, every key of its domain present.  One walk in document order
+    decides each rule and names the first row, cell or key breaking it."""
+    names, key_of, value_of, table = spec.names, spec.key_of, spec.value_of, {}
+    columns = [(name, space) for name, (_, space) in zip(names, spec.keys + spec.values)]
+    fields = set(names)
+    lists = [name for name, space in columns if type(space) is tuple or space == PERM]
+    if names[0] == 0:  # a JSON object, or a list of fresh ids
         rows = _typed(rows, dict, where).items() if spec.values \
             else zip(_typed(rows, list, where))
     for row in _typed(rows, list, where) if names[0] != 0 else rows:
-        if names[0] != 0 and (type(row) is not dict or row.keys() != set(names)):
-            raise DocumentError(f"{where}: {spec.noun} {row!r} must have "
-                                f"exactly the fields {names}")
-        for (_, space), name in zip(spec.keys + spec.values, names):
+        if names[0] != 0:
+            for name in lists if type(row) is dict else ():
+                if type(row.get(name)) is list:
+                    row[name] = tuple(row[name])
+            if type(row) is not dict or row.keys() != fields:
+                raise DocumentError(f"{where}: {spec.noun} {row!r} must have "
+                                    f"exactly the fields {names}")
+        for name, space in columns:
             cell = row[name]
             if _is_id(space, cell, scope, row[names[0]]):
                 continue
@@ -296,15 +243,21 @@ def _reject(spec: Table, rows, scope: dict, where: str):
             elif type(space) is tuple:
                 space = f"{space[0]} list"
             raise DocumentError(f"{where}: {spec.noun} references unknown {space} {cell!r}")
-        _put(seen, spec.key_of(row), None, where, spec.noun)
-    domain = _domain(spec, scope)  # only a total table gets this far
-    for key in seen:
-        if key not in domain:
-            raise _outside_domain(where, spec.noun, key)
-    spaces = [scope[space] for _, space in spec.keys]
-    for key in itertools.product(*spaces) if len(spaces) > 1 else spaces[0]:
-        if key in domain and key not in seen:
-            raise DocumentError(f"{where}: not total: no {spec.noun} for {key!r}")
+        key = key_of(row)
+        if key in table:
+            raise DocumentError(f"{where}: duplicate {spec.noun} {key!r}")
+        table[key] = value_of(row)
+    if spec.total:
+        domain = _domain(spec, scope)
+        for key in table:
+            if key not in domain:
+                raise _outside_domain(where, spec.noun, key)
+        for key in domain:
+            if key not in table:
+                raise DocumentError(f"{where}: not total: no {spec.noun} for {key!r}")
+    if spec.keys[0][1] == NEW:
+        scope[spec.noun] = table
+    return table
 
 
 def _outside_domain(where: str, noun: str, key) -> DocumentError:
@@ -364,14 +317,13 @@ def _fields(payload, context: str, tables: tuple, required=(), optional=(),
     ``required``, perhaps the ``optional`` ones and no other; a document of
     ``kind`` nested in another may repeat its ``kind`` and ``version``."""
     declared = [spec.field for spec in tables] + list(required)
-    optional += ("kind", "version") if kind else ()
-    if type(payload) is not dict or not payload.keys() <= {*declared, *optional} \
-            or not payload.keys() >= set(declared):
-        for field in _typed(payload, dict, context):
-            if field not in declared and field not in optional:
-                raise DocumentError(f"{context}: undeclared field {field!r}")
-        missing = next(field for field in declared if field not in payload)
-        raise DocumentError(f"{context}: missing field {missing!r}")
+    allowed = {*declared, *optional, *(("kind", "version") if kind else ())}
+    for field in _typed(payload, dict, context):
+        if field not in allowed:
+            raise DocumentError(f"{context}: undeclared field {field!r}")
+    for field in declared:
+        if field not in payload:
+            raise DocumentError(f"{context}: missing field {field!r}")
     for field, expected in (("kind", kind), ("version", VERSION)) if kind else ():
         value = payload.get(field, expected)
         if type(value) is not type(expected) or value != expected:
@@ -392,25 +344,20 @@ def _read_multicat(payload, context: str) -> FinMulticat:
         if len(profile) > max_arity:
             raise DocumentError(f"{context}: operation {op!r} exceeds "
                                 f"the arity bound {max_arity}")
-    # each sigma row permutes the arity of its operation, so the count decides
-    if len(sigma) != sum(factorial(len(profile)) for _, profile in operations.values()):
-        for op, (out, profile) in operations.items():
-            for perm in all_perms(len(profile)):
-                if (op, perm.images) not in sigma:
-                    raise DocumentError(f"{context}: sigma table not total: "
-                                        f"missing ({op!r}, {perm.images})")
-    by_output = _by_output((out, profile, op) for op, (out, profile) in operations.items())
-    domain = 0
-    for op, (out, profile) in operations.items():
-        for inners in _inner_tuples(by_output, profile, max_arity) if profile else ():
-            if (op, inners) not in gamma:
-                raise DocumentError(f"{context}: gamma table not total: "
-                                    f"missing ({op!r}, {inners!r})")
-            domain += 1
-    if domain != len(gamma):  # a row for inners that do not compose within the bound
-        raise _outside_domain(f"{context}: gamma", "gamma row", next(
-            (op, inners) for op, inners in gamma if not operations[op][1]
-            or inners not in _inner_tuples(by_output, operations[op][1], max_arity)))
+    for op, (out, profile) in operations.items():  # Sigma_n in lexicographic order
+        for images in itertools.permutations(range(1, len(profile) + 1)):
+            if (op, images) not in sigma:
+                raise DocumentError(f"{context}: sigma table not total: "
+                                    f"missing ({op!r}, {images})")
+    domain = gamma_domain(operations, max_arity)
+    for op, inners in domain:
+        if (op, inners) not in gamma:
+            raise DocumentError(f"{context}: gamma table not total: "
+                                f"missing ({op!r}, {inners!r})")
+    domain = set(domain)
+    for key in gamma:  # a row for inners that do not compose within the bound
+        if key not in domain:
+            raise _outside_domain(f"{context}: gamma", "gamma row", key)
     return FinMulticat(_name(p, "multicat", context), tuple(objects), max_arity,
                        operations, units, sigma, gamma)
 
@@ -426,16 +373,14 @@ def _read_permcat(payload, context: str) -> FinPermCat:
     objects, morphisms, identities, composition, sums, mor_sums, symmetries = \
         _read_tables(p, PERMCAT, scope, context)
     after = by_source(lambda g: morphisms[g][0], morphisms)
-    domain = 0
     for f, (_, tgt) in morphisms.items():
         for g in after.get(tgt, ()):
             if (g, f) not in composition:
                 raise DocumentError(f"{context}: composition table not total: "
                                     f"missing ({g!r}, {f!r})")
-        domain += len(after.get(tgt, ()))
-    if domain != len(composition):  # a row for a pair that does not compose
-        raise _outside_domain(f"{context}: composition", "composition row", next(
-            (g, f) for g, f in composition if morphisms[g][0] != morphisms[f][1]))
+    for g, f in composition:  # a row for a pair that does not compose
+        if morphisms[g][0] != morphisms[f][1]:
+            raise _outside_domain(f"{context}: composition", "composition row", (g, f))
     return FinPermCat(_name(p, "permcat", context), tuple(objects),
                       {f: src for f, (src, _) in morphisms.items()},
                       {f: tgt for f, (_, tgt) in morphisms.items()},

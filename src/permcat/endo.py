@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import ComposabilityError
-from .multicat import MultiNat, MulticatView, Multifunctor
+from .multicat import MultiNat, MulticatView, Multifunctor, _inner_tuples
 from .permcats import (
     MonoidalNat,
     NLinearFunctor,
@@ -90,21 +90,13 @@ def basepoint_check(C, max_arity: int = 3) -> CheckReport:
         for s in all_perms(n):
             report.expect("symmetry-preservation",
                           E.act(image[n], s), image[n], ("action", n, s.images))
+    arities = {e: [(image[k].profile, k) for k in image]}  # the slot index of each arity
     for n in range(1, max_arity + 1):
-        for ks in _bounded_tuples(n, max_arity):
+        for ks in _inner_tuples(arities, image[n].profile, max_arity):
             report.expect("composition-preservation",
                           E.compose(image[n], tuple(image[k] for k in ks)),
                           image[sum(ks)], ("composite", n, ks))
     return report
-
-
-def _bounded_tuples(n: int, budget: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(budget + 1):
-        for tail in _bounded_tuples(n - 1, budget - head):
-            yield (head,) + tail
 
 
 def endo_on_functor(P: SymMonFunctor) -> Multifunctor:

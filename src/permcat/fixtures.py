@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .multicat import FinMulticat
+from .multicat import FinMulticat, gamma_domain
 from .permcats import FinPermCat, NLinearFunctor
 from .perms import all_perms
 
@@ -40,17 +40,9 @@ def sign_operad(max_arity: int = 3, nullary: bool = True) -> FinMulticat:
             operations[op] = (obj, (obj,) * n)
             for perm in all_perms(n):
                 sigma[op, perm.images] = op
-    gamma = {}
-    for n in range(1, max_arity + 1):
-        for s in (POS, NEG):
-            outer = f"{s}{n}"
-            arities = itertools.product(range(low, max_arity + 1), repeat=n)
-            for ks in arities:
-                if sum(ks) > max_arity:
-                    continue
-                for signs in itertools.product((POS, NEG), repeat=n):
-                    inners = tuple(f"{t}{k}" for t, k in zip(signs, ks))
-                    gamma[outer, inners] = f"{_sign_mul(s, *signs)}{sum(ks)}"
+    gamma = {(outer, inners): f"{_sign_mul(outer[0], *(i[0] for i in inners))}"
+                              f"{sum(len(operations[i][1]) for i in inners)}"
+             for outer, inners in gamma_domain(operations, max_arity)}
     name = "sign-operad" if nullary else "sign-operad-pos"
     return FinMulticat(name, (obj,), max_arity,
                        operations, {obj: f"{POS}1"}, sigma, gamma)

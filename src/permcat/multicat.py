@@ -204,11 +204,8 @@ def terminal_multicat(max_arity: int) -> FinMulticat:
     for n in range(max_arity + 1):
         for perm in all_perms(n):
             sigma[f"i{n}", perm.images] = f"i{n}"
-    gamma = {}
-    for n in range(1, max_arity + 1):
-        for ks in itertools.product(range(max_arity + 1), repeat=n):
-            if sum(ks) <= max_arity:
-                gamma[f"i{n}", tuple(f"i{k}" for k in ks)] = f"i{sum(ks)}"
+    gamma = {(outer, inners): f"i{sum(len(operations[i][1]) for i in inners)}"
+             for outer, inners in gamma_domain(operations, max_arity)}
     return FinMulticat("terminal", (obj,), max_arity,
                        operations, {obj: "i1"}, sigma, gamma)
 
@@ -333,6 +330,15 @@ def _inner_tuples(by_output: dict, input_profile: Profile, budget: int) -> list[
                   for profile, op in by_output.get(slot, ())
                   if len(profile) <= left]
     return [ops for ops, _ in tuples]
+
+
+def gamma_domain(operations: Mapping, max_arity: int) -> list[tuple]:
+    """``(outer, inners)`` for every composite of a table-backed
+    multicategory's ``operations`` (``op -> (output, profile)``) within
+    ``max_arity``: a gamma table's keys, outer operations in table order."""
+    by_output = _by_output((out, profile, op) for op, (out, profile) in operations.items())
+    return [(outer, inners) for outer, (_, profile) in operations.items() if profile
+            for inners in _inner_tuples(by_output, profile, max_arity)]
 
 
 def validate_multicat(M: Multicat, max_arity: int | None = None,

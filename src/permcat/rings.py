@@ -237,14 +237,20 @@ def validate_ring_category(R: RingCatData) -> CheckReport:
                                   C.compose(C.sum_mor(dl(a, a2, b), dl(a, a2, b2)), shuffle))
         report.evaluate("2x2-factorization", path1, path2, (a, a2, b, b2))
 
-    tight = True
-    for a, b, c in itertools.product(objs, repeat=3):
-        if any(report.attempt("factorization-invertibility",
-                              lambda: _is_invertible(C, d(a, b, c)), (side, a, b, c)) is False
-               for side, d in (("left", dl), ("right", dr))):
-            tight = False
-    report.metadata["tight"] = tight
+    report.metadata["tight"] = _conjunction([
+        report.attempt("factorization-invertibility", lambda: _is_invertible(C, d(a, b, c)),
+                       (side, a, b, c))
+        for a, b, c in itertools.product(objs, repeat=3)
+        for side, d in (("left", dl), ("right", dr))])
     return report
+
+
+def _conjunction(values: list) -> bool | None:
+    """Three-valued ``and``: ``False`` if a value is, ``True`` if every
+    value is, else ``None`` (undecided)."""
+    if any(value is False for value in values):
+        return False
+    return True if all(value is True for value in values) else None
 
 
 def _mult_as_permcat(R: RingCatData, symmetry: Mapping) -> FinPermCat:
@@ -426,13 +432,13 @@ def validate_en_monoidal(E: EnData) -> CheckReport:
     report = CheckReport(E.name)
     C = E.additive
     n = len(E.products)
-    tight = True
+    tight = []
     for i in range(1, n + 1):
         ring = RingCatData(f"{E.name}[{i}]", C, E.products[i - 1],
                            E.left_facts[i - 1], E.right_facts[i - 1])
         sub = validate_ring_category(ring)
         report.absorb(sub, f"ring{i}-")
-        tight = tight and sub.metadata.get("tight", False)
+        tight.append(sub.metadata["tight"])
     nfold = NFoldData(f"{E.name}-nfold", C, E.products, E.exchanges)
     report.absorb(validate_nfold_monoidal(nfold))
     zero = C.unit
@@ -493,5 +499,5 @@ def validate_en_monoidal(E: EnData) -> CheckReport:
                           dri(Pj.on_obj(a, b), Pj.on_obj(c, d), Pj.on_obj(c, a2))))
             report.evaluate("exchange-factorization", lhs, rhs,
                             ("fourth", i, j, a, b, c, d, a2))
-    report.metadata["tight"] = tight
+    report.metadata["tight"] = _conjunction(tight)
     return report

@@ -105,6 +105,23 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in err
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin-1.json"
+        path.write_bytes('{"kind": "permcat", "name": "caf\u00e9"}'.encode("latin-1"))
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert "malformed document: UnicodeDecodeError" in err
+
+    def test_reader_defect_is_internal_error(self, capsys, monkeypatch):
+        # only a DocumentError is an input error; anything else the reader raises is a defect
+        def broken(text):
+            raise KeyError("row")
+
+        monkeypatch.setattr("permcat.cli.parse_document", broken)
+        code, out, err = run(capsys, ["validate", doc("sign.json")])
+        assert code == 3
+        assert err.startswith("error: internal: KeyError: 'row' (in broken, test_cli.py:")
+
     def test_unresolved_reference(self, capsys):
         code, out, err = run(capsys, ["validate", doc("mutant-unresolved.json")])
         assert code == 2

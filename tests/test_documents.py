@@ -1,5 +1,6 @@
 """Document parsing, canonical serialization, and round trips."""
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -293,3 +294,49 @@ class TestCorruptions:
         assert code in (0, 1, 2), err.getvalue()
         if code == 1:
             parse_document(text)
+
+
+# one document of each kind
+SWEEP = ("mterm3.json", "sign.json", "sign-ring.json", "sign-biperm.json",
+         "sign-braided.json", "sign-3fold.json", "sign-e2.json", "identity-functor.json",
+         "identity-multinat.json")
+STRIDE = 19
+CORRUPTIONS = {"leaf": ("ghost", 7, None, []), "row": ("delete", "duplicate")}
+
+
+def _sweep():
+    """``(document, path, corruption, outcome)`` of every corruption at every
+    STRIDE-th site of each SWEEP document, the outcome ``"OK"`` or the
+    DocumentError message.  Each corruption is undone before the next."""
+    for name in SWEEP:
+        payload = json.loads((DOCS / name).read_text(encoding="utf-8"))
+        for site, path in list(_sites(payload))[::STRIDE]:
+            parent, last = reduce(getitem, path[:-1], payload), path[-1]
+            original = parent[last]
+            for how in CORRUPTIONS[site]:
+                if how == "delete":
+                    del parent[last]
+                elif how == "duplicate":
+                    parent.insert(last, original)
+                else:
+                    parent[last] = how
+                try:
+                    parse_document(json.dumps(payload))
+                    outcome = "OK"
+                except DocumentError as exc:
+                    outcome = str(exc)
+                if how == "delete":
+                    parent.insert(last, original)
+                elif how == "duplicate":
+                    del parent[last]
+                else:
+                    parent[last] = original
+                yield name, path, how, outcome
+
+
+class TestMessages:
+    def test_corruption_messages_are_pinned(self):
+        # the first row, cell or key breaking a rule, named in document order
+        text = "".join(f"{case!r}\n" for case in _sweep())
+        assert (text.count("\n"), hashlib.sha256(text.encode()).hexdigest()) == (
+            1388, "5fc57aed15cd0d5bae08faaefeeec1cbc592f8e14edd3f0307f3b0cfbfcc2f45")

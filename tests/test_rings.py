@@ -196,6 +196,27 @@ class TestBraidedRing:
         assert "tight" in report.metadata
 
 
+class TestTightness:
+    """``tight`` is true only when every inverse search found an inverse,
+    false when one found none, and null when none found none but one was
+    undecided."""
+
+    def test_undecided_search_is_not_tight(self, monkeypatch):
+        monkeypatch.setattr(rings, "_is_invertible", lambda C, f: None)
+        assert validate_ring_category(bool_ring()).metadata["tight"] is None
+        assert validate_en_monoidal(bool_en(2)).metadata["tight"] is None
+
+    def test_raising_search_is_not_tight(self, monkeypatch):
+        def withheld(C, f):
+            raise ComposabilityError("composite withheld")
+
+        monkeypatch.setattr(rings, "_is_invertible", withheld)
+        report = validate_ring_category(bool_ring())
+        assert "factorization-invertibility" in report.violated_axioms()
+        assert report.metadata["tight"] is None
+        assert validate_en_monoidal(bool_en(2)).metadata["tight"] is None
+
+
 NFOLD = sign_nfold(3, 4)
 
 
