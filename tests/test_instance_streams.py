@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import pytest
 
+from mutation import gamma_mutant
+from permcat.endo import endo_multicat
 from permcat.fixtures import (
     sign_en,
     sign_multiplication,
@@ -20,7 +22,7 @@ from permcat.fixtures import (
     two_object_multicat,
 )
 from permcat.free import FreePermCat, free_on_multifunctor
-from permcat.multicat import identity_multifunctor
+from permcat.multicat import identity_multifunctor, terminal_multicat, validate_multicat
 from permcat.permcats import (
     identity_monoidal_nat,
     identity_nlinear_nat,
@@ -65,6 +67,9 @@ CASES = {
     "triangles": lambda: check_triangles(TWO, SIGN, max_len=3, max_arity=3),
     "ring": lambda: validate_ring_category(sign_ring()),
     "en": lambda: validate_en_monoidal(sign_en(2, 2)),
+    "multicat-endo-sign": lambda: validate_multicat(endo_multicat(SIGN), max_arity=2),
+    "multicat-gamma-mutant": lambda: validate_multicat(
+        gamma_mutant(terminal_multicat(4), "i1", ("i2",), "i3")),
 }
 
 # (stream length, SHA-256 of the stream) per case
@@ -73,6 +78,8 @@ DIGESTS = {
     "en": (2293, "0bb4caef534414c253eb6e1d169c19151b47f82c7f454a5963ad008e4d52063d"),
     "ill-typed": (230, "3d3049c17ad3cfdb0d324db8ad8e4f838200af9564db73d89f789feb488ea9a1"),
     "monoidal-nat": (11, "81568260462efdc73fb19cabcb4ee824eb7d3aea26868f0ebe6fda80456e3c28"),
+    "multicat-endo-sign": (3006, "16644e6487074d90f47361edb6f26d660bf22e926f542817ccfccba3532f1b37"),
+    "multicat-gamma-mutant": (8393, "251ce53fccd5ff241ba6f108fd9b77af69052c13135e8fcdf8c26939ab202acd"),
     "nlinear": (362, "5932c11ffde6b5c14410bd5c8537ecd0117c0a80f43da6fa393e82db5ca43bd0"),
     "nlinear-nat": (39, "6a9ef5c1696849c0b484ba5db65954e1581231f61a7dc3ef90aaf3fdc5a280a4"),
     "permcat-free-two": (4129, "2b47403027a10b9397aca4de0da6c1d852780ceb0f09767eebff5c0790dd7a95"),
