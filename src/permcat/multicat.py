@@ -380,8 +380,7 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     def values(js: tuple) -> tuple:
         return tuple(map(ops.__getitem__, js))
 
-    slot_tuples = functools.cache(
-        lambda profile: [(js, values(js)) for js in _inner_tuples(by_output, profile, A)])
+    slot_tuples = functools.cache(lambda profile: _inner_tuples(by_output, profile, A))
     window_composite = functools.cache(lambda i, js: numbered(M.compose(ops[i], values(js))))
     window_action = functools.cache(
         lambda i, images: numbered(M.act(ops[i], Permutation(images))))
@@ -443,7 +442,9 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     for (_, profile, _), outer in zip(entries, window):
         if not profile:
             continue
-        for js, inners in slot_tuples(profile):
+        for js in slot_tuples(profile):
+            inners = values(js)
+
             # only composites that could be typed enter the index that the
             # equivariance and associativity checks run over
             def typed_composite():
@@ -474,14 +475,30 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     for outer, mids, middles, mid_comp in composables:
         flat = tuple(x for m in middles for x in M.profile_of(m))
         ends = tuple(itertools.accumulate(arity[m] for m in mids))
-        chunked = tuple(zip(mids, (0,) + ends, ends))
-        for leaves, leaf_ops in slot_tuples(flat):
-            report.evaluate("associativity",
-                            lambda: composite(mid_comp, leaves)[0],
-                            lambda: compose(outer, tuple(
-                                window_composite(m, leaves[start:end])
-                                for m, start, end in chunked))[0],
-                            (outer[0], middles, leaf_ops))
+        chunked = tuple(zip(mids, map(slice, (0,) + ends, ends)))
+        mid = mid_comp[1]
+
+        def right(leaves):
+            """``outer`` composed with each middle composed with its chunk of
+            the leaves: a lookup by window index unless a middle composite
+            is outside the window, when it composes by value."""
+            js = []
+            for m, chunk in chunked:
+                j = window_composite(m, leaves[chunk])[1]
+                if j is None:
+                    return numbered(M.compose(outer[0], tuple(
+                        window_composite(m, leaves[chunk])[0] for m, chunk in chunked)))
+                js.append(j)
+            return window_composite(outer[1], tuple(js))
+
+        # one row per composable (outer, mids) over its leaf index tuples;
+        # numbered results compare as their values, since the index is a
+        # function of the value
+        report.evaluate_row("associativity",
+                            functools.partial(composite, mid_comp) if mid is None
+                            else functools.partial(window_composite, mid),
+                            right, slot_tuples(flat),
+                            lambda leaves: (outer[0], middles, values(leaves)))
 
     return report
 

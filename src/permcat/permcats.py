@@ -205,10 +205,12 @@ def validate_permcat(C, objects: Sequence | None = None,
     after = by_source(lambda f: C.src(f[0]), numbered_mors)
     for f in numbered_mors:
         for g in after.get(C.tgt(f[0]), ()):
-            for h in after.get(C.tgt(g[0]), ()):
-                report.evaluate("category-associativity",
-                                lambda: comp(h, comp(g, f))[0],
-                                lambda: comp(comp(h, g), f)[0], (h[0], g[0], f[0]))
+            # one row per composable (g, f) over the h that can follow g
+            report.evaluate_row("category-associativity",
+                                lambda h: comp(h, comp(g, f))[0],
+                                lambda h: comp(comp(h, g), f)[0],
+                                after.get(C.tgt(g[0]), ()),
+                                lambda h: (h[0], g[0], f[0]))
 
     for x in objs:
         report.expect("sum-unity", C.sum_obj(C.unit, x), x, ("left", x))

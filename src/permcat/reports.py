@@ -5,17 +5,30 @@ are data, not exceptions; a report passes iff it has none.  Witness
 rendering is deterministic (no set iteration, keys sorted) so identical
 inputs produce byte-identical serialized reports.
 
-:meth:`CheckReport.evaluate` and :meth:`CheckReport.attempt` are the one
-place that decides what an exception raised by an axiom leg means: a leg
-outside the bound or the supported fragment makes the instance unknown
-(not counted), an ill-typed leg is a counted violation.  A validator that
-shares a composite between instances keeps only its value, so a leg that
-raises raises again for each instance that needs it and each such instance
-is unknown or ill-typed on its own.
+:meth:`CheckReport.evaluate_row` is the one place that decides what an
+exception raised by an axiom leg means: a leg outside the bound or the
+supported fragment makes the instance unknown (not counted), an ill-typed
+leg is a counted violation, and so is an ill-typed error raised while
+comparing the legs, since values such as tensor-fragment operations
+canonicalise on first comparison.  :meth:`CheckReport.attempt` reads the
+errors of a single computation the same way.  A validator that shares a
+composite between instances keeps only its value, so a leg that raises
+raises again for each instance that needs it and each such instance is
+unknown or ill-typed on its own.
+
+The row rule: a row is the instances of one axiom that a validator
+enumerates together, such as every ``h`` after one composable ``(g, f)``.
+It is decided position by position, in enumeration order, each position
+exactly as a single instance: the left leg first, the right leg only
+where the left one is a value, then the comparison.  The counted
+positions of a row are added in one step, and a witness is built only
+for a violating position.  :meth:`CheckReport.evaluate` is the row of
+one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     BoundExceededError,
@@ -26,6 +39,20 @@ from .errors import (
 
 UNKNOWN = (BoundExceededError, UnsupportedFragmentError)
 ILL_TYPED = (ComposabilityError, MalformedStructureError)
+
+
+
+# The row of one that :meth:`CheckReport.evaluate` decides: its one
+# position is ``(lhs, rhs, witness)``.
+def _left(position):
+    return position[0]()
+
+
+def _right(position):
+    return position[1]()
+
+
+_witness = itemgetter(2)
 
 
 def render(value) -> str:
@@ -100,24 +127,34 @@ class CheckReport:
         return True
 
     def evaluate(self, axiom: str, lhs, rhs, witness: tuple) -> None:
-        """:meth:`expect` on two zero-argument thunks for the legs.
+        """The instance ``lhs() == rhs()`` on two zero-argument thunks, as
+        the row of one of :meth:`evaluate_row`."""
+        self.evaluate_row(axiom, _left, _right, ((lhs, rhs, witness),), _witness)
 
-        A leg outside the bound or the supported fragment leaves the
-        instance unknown: nothing is counted.  An ill-typed leg is one
-        counted instance and a violation witnessed ``("ill-typed", *witness)``;
-        so is an error raised while comparing the legs, since values such
-        as tensor-fragment operations canonicalise on first comparison.
+    def evaluate_row(self, axiom: str, lhs, rhs, row, witness) -> None:
+        """Decide the instance ``lhs(x) == rhs(x)`` of ``axiom`` for each
+        ``x`` of ``row`` by the row rule, witnessed by ``witness(x)``.
+
+        A position whose ``lhs`` or ``rhs`` raises an ``UNKNOWN`` error, or
+        whose comparison does, is not counted.  One whose first error is
+        ``ILL_TYPED`` is counted and witnessed ``("ill-typed", *witness(x))``.
+        Any other error propagates.
         """
-        try:
-            left, right = lhs(), rhs()
-            agree = left == right
-        except UNKNOWN:
-            return
-        except ILL_TYPED:
-            self.count(axiom)
-            self.violation(axiom, ("ill-typed", *witness))
-            return
-        self.expect(axiom, agree, True, witness)
+        counted = 0
+        for x in row:
+            try:
+                agree = lhs(x) == rhs(x)
+            except UNKNOWN:
+                continue
+            except ILL_TYPED:
+                counted += 1
+                self.violation(axiom, ("ill-typed", *witness(x)))
+                continue
+            counted += 1
+            if not agree:
+                self.violation(axiom, witness(x))
+        if counted:
+            self.count(axiom, counted)
 
     def attempt(self, axiom: str, thunk, witness: tuple):
         """The value of the zero-argument ``thunk``, or ``None`` when it

@@ -1,7 +1,8 @@
 """Instance-stream digests: each validator checks the same instances, in
 the same order, with the same witnesses.
 
-The stream of a run is every :meth:`CheckReport.expect` call and every
+The stream of a run is every :meth:`CheckReport.expect` call, every
+counted position of a :meth:`CheckReport.evaluate_row` row and every
 ill-typed violation, in order, as ``(axiom, rendered witness)``.  Instance
 counts alone cannot tell a reordered or substituted enumeration from the
 original; a digest of the stream can.
@@ -94,11 +95,20 @@ DIGESTS = {
 @pytest.fixture
 def stream(monkeypatch):
     events = []
-    expect, violation = CheckReport.expect, CheckReport.violation
+    expect, evaluate_row, violation = (
+        CheckReport.expect, CheckReport.evaluate_row, CheckReport.violation)
 
     def recording_expect(self, axiom, lhs, rhs, witness):
         events.append((axiom, render(witness)))
         return expect(self, axiom, lhs, rhs, witness)
+
+    def recording_row(self, axiom, lhs, rhs, row, witness):
+        # one position at a time, so that each counted position is an event
+        for x in row:
+            counted, recorded = self.total_instances(), len(events)
+            evaluate_row(self, axiom, lhs, rhs, (x,), witness)
+            if self.total_instances() > counted and len(events) == recorded:
+                events.append((axiom, render(witness(x))))
 
     def recording_violation(self, axiom, witness):
         rendered = render(witness)
@@ -107,6 +117,7 @@ def stream(monkeypatch):
         violation(self, axiom, witness)
 
     monkeypatch.setattr(CheckReport, "expect", recording_expect)
+    monkeypatch.setattr(CheckReport, "evaluate_row", recording_row)
     monkeypatch.setattr(CheckReport, "violation", recording_violation)
     return events
 
