@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -98,6 +99,9 @@ class FinMulticat(Multicat):
     ``operations`` maps each op label to its ``(output, input profile)``;
     ``sigma`` must be total over all permutations of each op's arity, and
     ``gamma`` total whenever the composite arity is within ``max_arity``.
+    The boundary of a composition is checked once per ``(outer, inners)``:
+    :meth:`compose` answers from a per-instance cache of the checked
+    entries, which keeps values only (see the memo rule in the README).
     """
 
     name: str
@@ -108,10 +112,14 @@ class FinMulticat(Multicat):
     sigma: Mapping       # (op, perm images) -> op
     gamma: Mapping       # (outer, inners) -> op
     _by_boundary: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _composite: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for op, (output, profile) in self.operations.items():
             self._by_boundary.setdefault((output, tuple(profile)), []).append(op)
+        multicat = weakref.ref(self)    # a dropped multicategory frees its cache at once
+        object.__setattr__(self, "_composite", functools.cache(
+            lambda outer, inners: multicat()._checked_composite(outer, inners)))
 
     def ops(self, target, profile: Profile) -> tuple:
         return tuple(self._by_boundary.get((target, tuple(profile)), ()))
@@ -143,7 +151,9 @@ class FinMulticat(Multicat):
             raise MalformedStructureError(f"missing sigma entry ({op!r}, {sigma.images})")
 
     def compose(self, outer, inners: tuple):
-        inners = tuple(inners)
+        return self._composite(outer, tuple(inners))
+
+    def _checked_composite(self, outer, inners: tuple):
         self.check_composite(outer, inners)
         if not inners:
             return outer

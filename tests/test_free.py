@@ -1,8 +1,13 @@
 """The free permutative category: composition bookkeeping and hom counts."""
 import itertools
+import json
+import pathlib
+from collections import Counter
 
 import pytest
 
+from permcat import free
+from permcat.cli import run_command
 from permcat.errors import BoundExceededError, ComposabilityError
 from permcat.fixtures import sign_operad, two_object_multicat
 from permcat.free import (
@@ -17,7 +22,9 @@ from permcat.free import (
     free_sum,
 )
 from permcat.multicat import (
+    FinMulticat,
     MultiNat,
+    Multicat,
     Multifunctor,
     identity_multifunctor,
     identity_multinat,
@@ -38,6 +45,7 @@ from permcat.perms import (
 )
 
 MTERM3 = terminal_multicat(3)
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "documents"
 MTERM2 = terminal_multicat(2)
 MTERM4 = terminal_multicat(4)
 INITIAL = initial_operad()
@@ -300,3 +308,39 @@ class TestFreeMultinat:
         F = FreePermCat(SIGNS2)
         for x in [star(0), star(1), star(2)]:
             assert F_comp.at(x) == F.compose(Fb.at(x), Fk.at(x))
+
+
+class TestKernelWork:
+    """The work of ``permcat free documents/mterm4.json --max-len 2``, pinned:
+    a change that checks other instances, or composes more often in the
+    free category or its base, shows up here."""
+
+    INSTANCES = {
+        "identity-typing": 3, "category-unity": 22, "category-associativity": 211,
+        "sum-unity": 6, "sum-associativity": 1358, "sum-functoriality": 2218,
+        "sum-unity-morphisms": 22, "sum-typing": 121, "symmetry-typing": 9,
+        "symmetry-involution": 9, "unit-symmetry": 6, "symmetry-naturality": 121,
+        "hexagon": 27}
+
+    def test_free_mterm4_len_2(self, monkeypatch, tmp_path):
+        calls = Counter()
+
+        def count(owner, name, key):
+            kernel = getattr(owner, name)
+
+            def counting(*args):
+                calls[key] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(free, "free_compose", "free_compose")
+        count(FinMulticat, "compose", "compose")
+        count(Multicat, "check_composite", "check_composite")
+        out = tmp_path / "report.json"
+        argv = ["free", str(DOCS / "mterm4.json"), "--max-len", "2", "--report", str(out)]
+        assert run_command(argv) == 0
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert {c["axiom"]: c["instances"] for c in checks} == self.INSTANCES
+        # the base boundary is checked once per distinct gamma key
+        assert calls == {"free_compose": 2344, "compose": 8211, "check_composite": 10}

@@ -1,9 +1,12 @@
 """The report kernel: lazy evaluation of axiom instances and report merging."""
 import ast
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutation import gamma_mutant
 from permcat.errors import (
@@ -15,16 +18,16 @@ from permcat.errors import (
 from permcat.fixtures import sign_permcat, swap_operad, two_object_multicat
 from permcat.multicat import terminal_multicat, validate_multicat
 from permcat.permcats import validate_permcat
-from permcat.reports import CheckReport
+from permcat.reports import ILL_TYPED, UNKNOWN, CheckReport
 from permcat.tensor import tensor_op
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "permcat"
 
 
 def raises(exc):
-    def thunk():
+    def leg(*position):
         raise exc("leg")
-    return thunk
+    return leg
 
 
 def summary_of(report):
@@ -75,6 +78,95 @@ class TestEvaluate:
         report.evaluate("eq", lambda: tensor_op((broken, T), ("p", "ua")),
                         lambda: tensor_op((swap, T), ("p", "ua")), ("w",))
         assert summary_of(report) == [("eq", 1, ["(ill-typed, w)"])]
+
+
+class Incomparable:
+    """A leg value whose ``==`` raises ``error``, as a tensor-fragment
+    operation with an ill-typed factor table does."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __eq__(self, other):
+        raise self.error("compared")
+
+    __hash__ = None
+
+
+# A leg entry: a value, a leg that raises, or a value whose == raises.
+LEGS = st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 2)),
+    st.tuples(st.sampled_from(["raise", "compare"]), st.sampled_from(UNKNOWN + ILL_TYPED)))
+
+
+def decided(row) -> tuple:
+    """The count and witnesses of a row of ``(left, right)`` leg entries by
+    :meth:`CheckReport.evaluate`'s rules, one instance at a time: the left
+    leg first and the right leg only after it, then the comparison, in
+    which the left value's ``==`` goes first; an unknown error leaves the
+    instance uncounted, an ill-typed one makes it a counted violation."""
+    counted, witnesses = 0, []
+    for n, legs in enumerate(row):
+        raised = [error for kind, error in legs if kind == "raise"]
+        compared = [error for kind, error in legs if kind == "compare"]
+        error = raised[0] if raised else compared[0] if compared else None
+        if error is None:
+            counted += 1
+            if legs[0][1] != legs[1][1]:
+                witnesses.append(f"(w, {n})")
+        elif error in ILL_TYPED:
+            counted += 1
+            witnesses.append(f"(ill-typed, w, {n})")
+    return counted, witnesses
+
+
+class TestEvaluateRow:
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(LEGS, LEGS), max_size=8))
+    def test_decides_each_position_as_evaluate_does(self, row):
+        called = []
+
+        def leg(side):
+            def compute(n):
+                called.append((side, n))
+                kind, value = row[n][side]
+                if kind == "raise":
+                    raise value("leg")
+                return Incomparable(value) if kind == "compare" else value
+            return compute
+
+        report = CheckReport("r")
+        report.evaluate_row("ax", leg(0), leg(1), range(len(row)), lambda n: ("w", n))
+        counted, witnesses = decided(row)
+        assert summary_of(report) == ([("ax", counted, witnesses)] if counted else [])
+        # each left leg runs once, each right leg once where its left is a value
+        assert Counter(called) == Counter(
+            [(0, n) for n in range(len(row))]
+            + [(1, n) for n, (left, _) in enumerate(row) if left[0] != "raise"])
+
+    def test_right_leg_never_runs_after_the_left_raised(self):
+        ran = []
+        report = CheckReport("r")
+        report.evaluate_row("ax", raises(ComposabilityError), ran.append, ["x", "y"],
+                            lambda x: (x,))
+        assert ran == []
+        assert summary_of(report) == [("ax", 2, ["(ill-typed, x)", "(ill-typed, y)"])]
+
+    def test_the_same_value_on_both_legs_is_still_compared(self):
+        shared = Incomparable(MalformedStructureError)
+        report = CheckReport("r")
+        report.evaluate_row("ax", lambda x: shared, lambda x: shared, [1], lambda x: (x,))
+        assert summary_of(report) == [("ax", 1, ["(ill-typed, 1)"])]
+
+    def test_an_agreeing_row_builds_no_witness(self):
+        report = CheckReport("r")
+        report.evaluate_row("ax", lambda x: x, lambda x: x, range(50), pytest.fail)
+        assert summary_of(report) == [("ax", 50, [])]
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(KeyError):
+            CheckReport("r").evaluate_row("ax", lambda x: x, raises(KeyError), [1],
+                                          lambda x: (x,))
 
 
 class TestAbsorb:
