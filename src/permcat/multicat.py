@@ -366,9 +366,12 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     (and the images of the permutation; see the memo rule in the README),
     as the window's own operation with its index when it is one, so the
     next composition or action of a leg is a lookup too.  An operand
-    outside the window is composed or acted on by value.  The tuples of
-    window operations that fill a slot profile are enumerated once per
+    outside the window is composed or acted on by value.  The index tuples
+    of window operations that fill a slot profile are enumerated once per
     profile and call, for composition typing and associativity alike.
+    Associativity is decided one row per composable ``(outer, middles)``,
+    over the leaf tuples of the middles (see the row rule in
+    :mod:`permcat.reports`).
     """
     A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport(getattr(M, "name", "multicat"))
@@ -486,7 +489,6 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
         flat = tuple(x for m in middles for x in M.profile_of(m))
         ends = tuple(itertools.accumulate(arity[m] for m in mids))
         chunked = tuple(zip(mids, map(slice, (0,) + ends, ends)))
-        mid = mid_comp[1]
 
         def right(leaves):
             """``outer`` composed with each middle composed with its chunk of
@@ -497,7 +499,7 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
                 j = window_composite(m, leaves[chunk])[1]
                 if j is None:
                     return numbered(M.compose(outer[0], tuple(
-                        window_composite(m, leaves[chunk])[0] for m, chunk in chunked)))
+                        window_composite(n, leaves[part])[0] for n, part in chunked)))
                 js.append(j)
             return window_composite(outer[1], tuple(js))
 
@@ -505,9 +507,8 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
         # numbered results compare as their values, since the index is a
         # function of the value
         report.evaluate_row("associativity",
-                            functools.partial(composite, mid_comp) if mid is None
-                            else functools.partial(window_composite, mid),
-                            right, slot_tuples(flat),
+                            functools.partial(composite, mid_comp), right,
+                            slot_tuples(flat),
                             lambda leaves: (outer[0], middles, values(leaves)))
 
     return report

@@ -162,7 +162,9 @@ def validate_permcat(C, objects: Sequence | None = None,
     The window morphisms are numbered once, and the composite of each pair
     of them is cached per call under the index pair (see the memo rule in
     the README), as the window's own morphism when it is one, so the next
-    composition of an associativity leg is a lookup too.
+    composition of an associativity leg is a lookup too.  Associativity is
+    decided one row per composable ``(g, f)``, over every ``h`` that can
+    follow ``g`` (see the row rule in :mod:`permcat.reports`).
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
