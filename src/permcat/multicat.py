@@ -503,9 +503,8 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
                 js.append(j)
             return window_composite(outer[1], tuple(js))
 
-        # one row per composable (outer, mids) over its leaf index tuples;
-        # numbered results compare as their values, since the index is a
-        # function of the value
+        # numbered results compare as their values: the index is a function
+        # of the value
         report.evaluate_row("associativity",
                             functools.partial(composite, mid_comp), right,
                             slot_tuples(flat),

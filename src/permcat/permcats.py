@@ -207,7 +207,6 @@ def validate_permcat(C, objects: Sequence | None = None,
     after = by_source(lambda f: C.src(f[0]), numbered_mors)
     for f in numbered_mors:
         for g in after.get(C.tgt(f[0]), ()):
-            # one row per composable (g, f) over the h that can follow g
             report.evaluate_row("category-associativity",
                                 lambda h: comp(h, comp(g, f))[0],
                                 lambda h: comp(comp(h, g), f)[0],

@@ -41,7 +41,6 @@ UNKNOWN = (BoundExceededError, UnsupportedFragmentError)
 ILL_TYPED = (ComposabilityError, MalformedStructureError)
 
 
-
 # The row of one that :meth:`CheckReport.evaluate` decides: its one
 # position is ``(lhs, rhs, witness)``.
 def _left(position):
