@@ -164,7 +164,9 @@ def validate_permcat(C, objects: Sequence | None = None,
     the README), as the window's own morphism when it is one, so the next
     composition of an associativity leg is a lookup too.  Associativity is
     decided one row per composable ``(g, f)``, over every ``h`` that can
-    follow ``g`` (see the row rule in :mod:`permcat.reports`).
+    follow ``g``, and the interchange law one row per ``(f, g, f2)``, over
+    every ``g2`` that can follow ``g`` (see the row rule in
+    :mod:`permcat.reports`).
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
@@ -237,11 +239,12 @@ def validate_permcat(C, objects: Sequence | None = None,
     heavy_after = by_source(lambda f: C.src(f[0]), numbered_heavy)
     for f, g in itertools.product(numbered_heavy, repeat=2):
         for f2 in heavy_after.get(C.tgt(f[0]), ()):
-            for g2 in heavy_after.get(C.tgt(g[0]), ()):
-                report.evaluate("sum-functoriality",
-                                lambda: C.sum_mor(comp(f2, f)[0], comp(g2, g)[0]),
-                                lambda: compose(C.sum_mor(f2[0], g2[0]), C.sum_mor(f[0], g[0])),
-                                ("interchange", f2[0], f[0], g2[0], g[0]))
+            report.evaluate_row("sum-functoriality",
+                                lambda g2: C.sum_mor(comp(f2, f)[0], comp(g2, g)[0]),
+                                lambda g2: compose(C.sum_mor(f2[0], g2[0]),
+                                                   C.sum_mor(f[0], g[0])),
+                                heavy_after.get(C.tgt(g[0]), ()),
+                                lambda g2: ("interchange", f2[0], f[0], g2[0], g[0]))
     for f, g, h in itertools.product(heavy, repeat=3):
         report.expect("sum-associativity",
                       C.sum_mor(C.sum_mor(f, g), h), C.sum_mor(f, C.sum_mor(g, h)),

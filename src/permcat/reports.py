@@ -142,18 +142,19 @@ class CheckReport:
         counted = 0
         for x in row:
             try:
-                agree = lhs(x) == rhs(x)
+                if lhs(x) == rhs(x):
+                    counted += 1
+                    continue
             except UNKNOWN:
                 continue
             except ILL_TYPED:
-                counted += 1
-                self.violation(axiom, ("ill-typed", *witness(x)))
-                continue
+                violated = ("ill-typed", *witness(x))
+            else:
+                violated = witness(x)
             counted += 1
-            if not agree:
-                self.violation(axiom, witness(x))
+            self.violation(axiom, violated)
         if counted:
-            self.count(axiom, counted)
+            self.check(axiom).instances += counted
 
     def attempt(self, axiom: str, thunk, witness: tuple):
         """The value of the zero-argument ``thunk``, or ``None`` when it

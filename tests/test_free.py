@@ -45,12 +45,12 @@ from permcat.perms import (
 )
 
 MTERM3 = terminal_multicat(3)
-DOCS = pathlib.Path(__file__).resolve().parent.parent / "documents"
 MTERM2 = terminal_multicat(2)
 MTERM4 = terminal_multicat(4)
 INITIAL = initial_operad()
 SIGNS2 = sign_operad(2)
 TWO = two_object_multicat()
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "documents"
 
 
 def star(n):

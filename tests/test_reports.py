@@ -163,11 +163,6 @@ class TestEvaluateRow:
         report.evaluate_row("ax", lambda x: x, lambda x: x, range(50), pytest.fail)
         assert summary_of(report) == [("ax", 50, [])]
 
-    def test_other_errors_propagate(self):
-        with pytest.raises(KeyError):
-            CheckReport("r").evaluate_row("ax", lambda x: x, raises(KeyError), [1],
-                                          lambda x: (x,))
-
 
 class TestAbsorb:
     def sub(self):
