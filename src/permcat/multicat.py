@@ -361,154 +361,114 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     missing table entry or a boundary mismatch) is a counted violation
     witnessed ``ill-typed``.
 
-    The window operations are numbered once, and each composite and each
-    action of them is cached per call under the indices of its operands
-    (and the images of the permutation; see the memo rule in the README),
-    as the window's own operation with its index when it is one, so the
-    next composition or action of a leg is a lookup too.  An operand
-    outside the window is composed or acted on by value.  The index tuples
-    of window operations that fill a slot profile are enumerated once per
-    profile and call, for composition typing and associativity alike.
-    Associativity is decided one row per composable ``(outer, middles)``,
-    over the leaf tuples of the middles (see the row rule in
-    :mod:`permcat.reports`).
+    Every operation the check meets is numbered once per call, the
+    window's operations first in entry order, and every leg works on
+    these indices: each composite and each action is cached per call
+    under the indices of its operands (and the images of the permutation;
+    see the memo rule in the README) and numbered in turn, so the next
+    composition or action of a leg is a lookup too, and the legs of an
+    instance compare as indices.  A lawful multicategory computes no
+    operation outside its window; an unlawful one's are numbered after
+    it.  The index tuples of window operations that fill a slot profile
+    are enumerated once per profile and call, for composition typing and
+    associativity alike.  Associativity is decided one row per composable
+    ``(outer, middles)``, over the leaf tuples of the middles (see the row
+    rule in :mod:`permcat.reports`).
     """
     A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport(getattr(M, "name", "multicat"))
-    ops = [op for _, _, op in entries]
-    index = {}
-    for i, op in enumerate(ops):
-        index.setdefault(op, i)
-    window = [(op, index[op]) for op in ops]
-    by_output = _by_output((target, profile, index[op]) for target, profile, op in entries)
-    arity = [len(profile) for _, profile, _ in entries]
-    perms = functools.cache(lambda n: list(all_perms(n)))
+    ops = []
 
-    def numbered(op) -> tuple:
-        """``op`` with its window index: the window's own pair when ``op``
-        is a window operation, ``(op, None)`` otherwise."""
-        i = index.get(op)
-        return (op, None) if i is None else window[i]
+    @functools.cache
+    def number(op) -> int:
+        ops.append(op)
+        return len(ops) - 1
+
+    window = [number(op) for _, _, op in entries]
+    by_output = _by_output((target, profile, i)
+                           for (target, profile, _), i in zip(entries, window))
+    arity = [M.arity_of(op) for op in ops]
+    perms = functools.cache(lambda n: list(all_perms(n)))
 
     def values(js: tuple) -> tuple:
         return tuple(map(ops.__getitem__, js))
 
     slot_tuples = functools.cache(lambda profile: _inner_tuples(by_output, profile, A))
-    window_composite = functools.cache(lambda i, js: numbered(M.compose(ops[i], values(js))))
-    window_action = functools.cache(
-        lambda i, images: numbered(M.act(ops[i], Permutation(images))))
-
-    def composite(outer: tuple, js: tuple) -> tuple:
-        """The numbered ``outer`` composed with the window operations
-        ``js``, numbered."""
-        value, i = outer
-        if i is None:
-            return numbered(M.compose(value, values(js)))
-        return window_composite(i, js)
-
-    def compose(outer: tuple, inners: tuple) -> tuple:
-        """:func:`composite` with numbered inner operations."""
-        js = tuple(j for _, j in inners)
-        if None in js:
-            return numbered(M.compose(outer[0], tuple(op for op, _ in inners)))
-        return composite(outer, js)
-
-    def act(op: tuple, sigma: Permutation) -> tuple:
-        """The numbered ``op`` acted on by ``sigma``, numbered."""
-        value, i = op
-        if i is None:
-            return numbered(M.act(value, sigma))
-        return window_action(i, sigma.images)
+    compose = functools.cache(lambda i, js: number(M.compose(ops[i], values(js))))
+    act = functools.cache(lambda i, images: number(M.act(ops[i], Permutation(images))))
 
     for c in objs:
         u = M.unit(c)
         report.expect("unit-typing", (M.output_of(u), M.profile_of(u)), (c, (c,)), ("unit", c))
 
-    for (_, profile, _), op in zip(entries, window):
+    for (_, profile, op), i in zip(entries, window):
         n = len(profile)
-        report.evaluate("symmetry-identity", lambda: act(op, identity_perm(n))[0],
-                        lambda: op[0], ("id-action", op[0]))
+        report.evaluate("symmetry-identity", lambda: act(i, identity_perm(n).images),
+                        lambda: i, ("id-action", op))
         for s in perms(n):
             def boundary():
-                acted = act(op, s)[0]
+                acted = ops[act(i, s.images)]
                 return M.output_of(acted), M.profile_of(acted)
 
             report.evaluate("symmetry-typing", boundary,
-                            lambda: (M.output_of(op[0]), perm_act(s, profile)),
-                            ("boundary", op[0], s.images))
+                            lambda: (M.output_of(op), perm_act(s, profile)),
+                            ("boundary", op, s.images))
             for t in perms(n):
                 report.evaluate("symmetry-action",
-                                lambda: act(act(op, s), t)[0],
-                                lambda: act(op, perm_compose(s, t))[0],
-                                (op[0], s.images, t.images))
+                                lambda: act(act(i, s.images), t.images),
+                                lambda: act(i, perm_compose(s, t).images),
+                                (op, s.images, t.images))
 
-    for (_, profile, _), op in zip(entries, window):
-        target = M.output_of(op[0])
-        report.evaluate("left-unity", lambda: compose(numbered(M.unit(target)), (op,))[0],
-                        lambda: op[0], ("left", op[0]))
+    for (_, profile, op), i in zip(entries, window):
+        target = M.output_of(op)
+        report.evaluate("left-unity", lambda: compose(number(M.unit(target)), (i,)),
+                        lambda: i, ("left", op))
         if profile:
-            units = tuple(numbered(M.unit(x)) for x in profile)
-            report.evaluate("right-unity", lambda: compose(op, units)[0], lambda: op[0],
-                            ("right", op[0]))
+            units = tuple(number(M.unit(x)) for x in profile)
+            report.evaluate("right-unity", lambda: compose(i, units), lambda: i,
+                            ("right", op))
 
     composables = []
-    for (_, profile, _), outer in zip(entries, window):
+    for (_, profile, op), outer in zip(entries, window):
         if not profile:
             continue
         for js in slot_tuples(profile):
-            inners = values(js)
-
             # only composites that could be typed enter the index that the
             # equivariance and associativity checks run over
             def typed_composite():
-                result = composite(outer, js)
-                boundary = (M.output_of(result[0]), M.profile_of(result[0]))
-                composables.append((outer, js, inners, result))
-                return boundary
+                result = compose(outer, js)
+                composables.append((outer, js, result))
+                return M.output_of(ops[result]), M.profile_of(ops[result])
 
             report.evaluate("composition-typing", typed_composite,
-                            lambda: (M.output_of(outer[0]),
-                                     tuple(x for op in inners for x in M.profile_of(op))),
-                            (outer[0], inners))
+                            lambda: (M.output_of(op),
+                                     tuple(x for j in js for x in M.profile_of(ops[j]))),
+                            (op, values(js)))
 
-    for outer, js, inners, result in composables:
-        arities = tuple(M.arity_of(op) for op in inners)
+    for outer, js, result in composables:
+        arities = tuple(arity[j] for j in js)
+        witness = (ops[outer], values(js))
         for s in perms(len(js)):
             report.evaluate("top-equivariance",
-                            lambda: composite(act(outer, s), perm_act(s, js))[0],
-                            lambda: act(result, block_perm(s, arities))[0],
-                            (outer[0], inners, s.images))
+                            lambda: compose(act(outer, s.images), perm_act(s, js)),
+                            lambda: act(result, block_perm(s, arities).images),
+                            (*witness, s.images))
         for taus in itertools.product(*(perms(k) for k in arities)):
             report.evaluate("bottom-equivariance",
                             lambda: compose(outer, tuple(
-                                act(window[j], t) for j, t in zip(js, taus)))[0],
-                            lambda: act(result, block_sum(taus))[0],
-                            (outer[0], inners, tuple(t.images for t in taus)))
+                                act(j, t.images) for j, t in zip(js, taus))),
+                            lambda: act(result, block_sum(taus).images),
+                            (*witness, tuple(t.images for t in taus)))
 
-    for outer, mids, middles, mid_comp in composables:
-        flat = tuple(x for m in middles for x in M.profile_of(m))
+    for outer, mids, mid_comp in composables:
+        flat = tuple(x for m in mids for x in M.profile_of(ops[m]))
         ends = tuple(itertools.accumulate(arity[m] for m in mids))
         chunked = tuple(zip(mids, map(slice, (0,) + ends, ends)))
-
-        def right(leaves):
-            """``outer`` composed with each middle composed with its chunk of
-            the leaves: a lookup by window index unless a middle composite
-            is outside the window, when it composes by value."""
-            js = []
-            for m, chunk in chunked:
-                j = window_composite(m, leaves[chunk])[1]
-                if j is None:
-                    return numbered(M.compose(outer[0], tuple(
-                        window_composite(n, leaves[part])[0] for n, part in chunked)))
-                js.append(j)
-            return window_composite(outer[1], tuple(js))
-
-        # numbered results compare as their values: the index is a function
-        # of the value
-        report.evaluate_row("associativity",
-                            functools.partial(composite, mid_comp), right,
-                            slot_tuples(flat),
-                            lambda leaves: (outer[0], middles, values(leaves)))
+        report.evaluate_row(
+            "associativity", functools.partial(compose, mid_comp),
+            lambda leaves: compose(outer, tuple([compose(m, leaves[chunk])
+                                                 for m, chunk in chunked])),
+            slot_tuples(flat), lambda leaves: (ops[outer], values(mids), values(leaves)))
 
     return report
 

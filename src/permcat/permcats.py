@@ -162,7 +162,11 @@ def validate_permcat(C, objects: Sequence | None = None,
     The window morphisms are numbered once, and the composite of each pair
     of them is cached per call under the index pair (see the memo rule in
     the README), as the window's own morphism when it is one, so the next
-    composition of an associativity leg is a lookup too.  Associativity is
+    composition of an associativity leg is a lookup too.  A morphism
+    outside the window is composed by value and not numbered: those are
+    mostly sums composed once, and numbering them all, as
+    :func:`permcat.multicat.validate_multicat` numbers its operations, costs
+    more memory than it saves (see the memo rule).  Associativity is
     decided one row per composable ``(g, f)``, over every ``h`` that can
     follow ``g``, and the interchange law one row per ``(f, g, f2)``, over
     every ``g2`` that can follow ``g`` (see the row rule in

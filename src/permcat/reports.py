@@ -33,12 +33,13 @@ from operator import itemgetter
 from .errors import (
     BoundExceededError,
     ComposabilityError,
+    DegreeMismatchError,
     MalformedStructureError,
     UnsupportedFragmentError,
 )
 
 UNKNOWN = (BoundExceededError, UnsupportedFragmentError)
-ILL_TYPED = (ComposabilityError, MalformedStructureError)
+ILL_TYPED = (ComposabilityError, DegreeMismatchError, MalformedStructureError)
 
 
 # The row of one that :meth:`CheckReport.evaluate` decides: its one

@@ -225,6 +225,42 @@ class TestExitCodes:
         assert code == 2, err
         assert message in err
 
+    @pytest.mark.parametrize("name, table, row, result, argv", [
+        ("sign.json", "composition", {"after": "0:+", "before": "0:+"}, "1:+",
+         ["endo", None, "--max-arity", "2"]),
+        ("sign.json", "composition", {"after": "0:+", "before": "0:+"}, "1:+",
+         ["check-adjunction", doc("two-object.json"), None, "--max-len", "1",
+          "--max-arity", "1"]),
+        ("sign.json", "composition", {"after": "0:+", "before": "0:-"}, "1:+",
+         ["check-adjunction", doc("two-object.json"), None, "--max-len", "1",
+          "--max-arity", "1"]),
+        ("sign.json", "sum_morphisms", {"left": "0:+", "right": "0:+"}, "1:+",
+         ["endo", None, "--max-arity", "2"]),
+        ("sign.json", "sum_morphisms", {"left": "0:-", "right": "0:+"}, "1:+",
+         ["check-adjunction", doc("two-object.json"), None, "--max-len", "1",
+          "--max-arity", "1"]),
+        ("two-object.json", "gamma", {"outer": "ua", "inners": ["ua"]}, "m",
+         ["check-s", doc("mterm3.json"), None, "--max-len", "1"]),
+        ("two-object.json", "gamma", {"outer": "ua", "inners": ["ua"]}, "ub",
+         ["check-adjunction", None, doc("bool-or.json"), "--max-len", "2",
+          "--max-arity", "1"]),
+    ], ids=["sign-composition-endo", "sign-composition-adjunction",
+            "sign-composition-mixed-adjunction", "sign-sum-endo", "sign-sum-adjunction",
+            "two-object-gamma-m-check-s", "two-object-gamma-ub-adjunction"])
+    def test_redirected_row_is_a_violation(self, capsys, tmp_path, name, table, row,
+                                           result, argv):
+        # a parseable document whose one row names a wrong result violates an
+        # axiom (exit 1) under every command; each of these once crashed (exit 3)
+        payload = json.loads((DOCS / name).read_text(encoding="utf-8"))
+        [entry] = [entry for entry in payload[table]
+                   if all(entry[k] == v for k, v in row.items())]
+        entry["result"] = result
+        broken = tmp_path / name
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, ["validate", str(broken)])[0] == 1
+        code, out, err = run(capsys, [str(broken) if a is None else a for a in argv])
+        assert (code, err) == (1, ""), err
+
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(args):
             raise ZeroDivisionError("division by zero")
