@@ -96,20 +96,33 @@ def _emit(report: CheckReport, out_path: str | None) -> int:
     return 0 if report.passed else 1
 
 
+def _validation(kind: str, structure, max_arity: int = 3) -> CheckReport:
+    """The report of ``validate`` on a parsed document."""
+    if kind == "multicat":
+        return validate_multicat(structure, max_arity=min(max_arity, structure.max_arity))
+    if kind == "permcat":
+        return validate_permcat(structure)
+    if kind in RING_VALIDATORS:
+        return RING_VALIDATORS[kind](structure)
+    if kind == "functor":
+        return validate_smf_with_ends(structure)
+    return validate_monoidal_nat_with_ends(structure)    # "multinat", the last of the nine kinds
+
+
+def _first_invalid(documents) -> CheckReport | None:
+    """The ``validate`` report of the first ``(kind, structure)`` that
+    fails it, or None when all pass: the comparison suites assume lawful
+    inputs."""
+    for kind, structure in documents:
+        report = _validation(kind, structure)
+        if not report.passed:
+            return report
+    return None
+
+
 def cmd_validate(args) -> int:
     kind, structure = _read(args.document)
-    if kind == "multicat":
-        report = validate_multicat(structure, max_arity=min(
-            args.max_arity, structure.max_arity))
-    elif kind == "permcat":
-        report = validate_permcat(structure)
-    elif kind in RING_VALIDATORS:
-        report = RING_VALIDATORS[kind](structure)
-    elif kind == "functor":
-        report = validate_smf_with_ends(structure)
-    else:    # "multinat", the last of the nine kinds
-        report = validate_monoidal_nat_with_ends(structure)
-    return _emit(report, args.report)
+    return _emit(_validation(kind, structure, args.max_arity), args.report)
 
 
 def cmd_free(args) -> int:
@@ -203,7 +216,8 @@ def cmd_tensor_s(args) -> int:
 
 def cmd_check_s(args) -> int:
     Ms = _load_factors(args.documents)
-    return _emit(check_s_suite(Ms, args.max_len), args.report)
+    report = _first_invalid(("multicat", M) for M in Ms) or check_s_suite(Ms, args.max_len)
+    return _emit(report, args.report)
 
 
 def cmd_check_adjunction(args) -> int:
@@ -213,7 +227,8 @@ def cmd_check_adjunction(args) -> int:
     kind_c, C = _read(args.permcat)
     if kind_c != "permcat":
         raise DocumentError("check-adjunction needs a permcat document second")
-    report = check_adjunction_suite(M, C, args.max_len, args.max_arity)
+    report = (_first_invalid([(kind_m, M), (kind_c, C)])
+              or check_adjunction_suite(M, C, args.max_len, args.max_arity))
     return _emit(report, args.report)
 
 

@@ -565,6 +565,14 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     search for that classification which is beyond the bound leaves its
     component unclassified; one that is ill-typed is also a counted
     ``constraint-invertibility`` violation, the only instances of that check.
+
+    Each source's window morphisms are numbered once.  The image of each
+    tuple of window morphisms is cached per call under its tuple of window
+    indices, and each constraint component under its raw objects (see the
+    memo rule in the README), so every axiom that meets the same image or
+    component again looks it up; a tuple with a morphism outside the
+    windows is mapped by value.  Images are compared, composed and summed
+    by value in the target, and never hashed.
     """
     D = P.target
     report = CheckReport("n-linear-functor")
@@ -575,25 +583,37 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         return report
     wins, obj_tuples, hom_lists = _windows(P, objects)
     mor_tuples = list(itertools.product(*hom_lists))
+    idx_tuples = list(itertools.product(*(range(len(hs)) for hs in hom_lists)))
+    indices = [{f: i for i, f in enumerate(hs)} for hs in hom_lists]
+    window_image = cache(lambda *idx: P.on_mor(tuple(hs[i] for hs, i in zip(hom_lists, idx))))
+    constraint = cache(P.constraint)
 
-    for fs in mor_tuples:
-        image = P.on_mor(fs)
+    def image(fs: tuple):
+        """``P.on_mor(fs)``, looked up when every entry is a window morphism."""
+        idx = tuple(index.get(f) for index, f in zip(indices, fs))
+        return P.on_mor(fs) if None in idx else window_image(*idx)
+
+    for idx, fs in zip(idx_tuples, mor_tuples):
+        im = window_image(*idx)
         report.expect("functor-typing",
-                      (D.src(image), D.tgt(image)),
+                      (D.src(im), D.tgt(im)),
                       (P.on_obj(tuple(S.src(f) for S, f in zip(P.sources, fs))),
                        P.on_obj(tuple(S.tgt(f) for S, f in zip(P.sources, fs)))),
                       ("typing", fs))
     for X in obj_tuples:
         ids = tuple(S.identity(x) for S, x in zip(P.sources, X))
-        report.expect("functor-identities", P.on_mor(ids), D.identity(P.on_obj(X)), ("id", X))
-    afters = [by_source(S.src, hs) for S, hs in zip(P.sources, hom_lists)]
-    for fs in mor_tuples:
-        for gs in itertools.product(*(after.get(S.tgt(f), ())
-                                      for S, after, f in zip(P.sources, afters, fs))):
+        report.expect("functor-identities", image(ids), D.identity(P.on_obj(X)), ("id", X))
+    afters = [by_source(lambda i, S=S, hs=hs: S.src(hs[i]), range(len(hs)))
+              for S, hs in zip(P.sources, hom_lists)]
+    for ifs, fs in zip(idx_tuples, mor_tuples):
+        for igs in itertools.product(*(after.get(S.tgt(f), ())
+                                       for S, after, f in zip(P.sources, afters, fs))):
+            gs = tuple(hs[i] for hs, i in zip(hom_lists, igs))
             report.evaluate("functor-composition",
-                            lambda: P.on_mor(tuple(S.compose(g, f)
-                                                   for S, f, g in zip(P.sources, fs, gs))),
-                            lambda: D.compose(P.on_mor(gs), P.on_mor(fs)), (gs, fs))
+                            lambda: image(tuple(S.compose(g, f)
+                                                for S, f, g in zip(P.sources, fs, gs))),
+                            lambda: D.compose(window_image(*igs), window_image(*ifs)),
+                            (gs, fs))
 
     all_strict = True
     all_strong = True
@@ -604,11 +624,11 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         for fs in mor_tuples:
             unit_id = Cj.identity(Cj.unit)
             report.expect("unity",
-                          P.on_mor(replace_at(fs, j, unit_id)),
+                          image(replace_at(fs, j, unit_id)),
                           D.identity(D.unit), ("morphism", j, fs))
         for X in obj_tuples:
             for X2 in wins[j - 1]:
-                c = P.constraint(j, X, X2)
+                c = constraint(j, X, X2)
                 if not (c == D.identity(D.src(c))):
                     all_strict = False
                 if report.attempt("constraint-invertibility", lambda: _is_invertible(D, c),
@@ -621,30 +641,30 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                               ("typing", j, X, X2))
                 if any(x == P.sources[i].unit for i, x in enumerate(X)) or X2 == Cj.unit:
                     report.expect("constraint-unity", c, D.identity(D.src(c)), (j, X, X2))
-        for fs in mor_tuples:
-            for f2 in hom_lists[j - 1]:
+        for idx, fs in zip(idx_tuples, mor_tuples):
+            for i2, f2 in enumerate(hom_lists[j - 1]):
                 X = tuple(S.src(f) for S, f in zip(P.sources, fs))
                 Y = tuple(S.tgt(f) for S, f in zip(P.sources, fs))
                 report.evaluate(
                     "constraint-naturality",
                     lambda: D.compose(
-                        P.constraint(j, Y, Cj.tgt(f2)),
-                        D.sum_mor(P.on_mor(fs), P.on_mor(replace_at(fs, j, f2)))),
+                        constraint(j, Y, Cj.tgt(f2)),
+                        D.sum_mor(window_image(*idx), window_image(*replace_at(idx, j, i2)))),
                     lambda: D.compose(
-                        P.on_mor(replace_at(fs, j, Cj.sum_mor(fs[j - 1], f2))),
-                        P.constraint(j, X, Cj.src(f2))),
+                        image(replace_at(fs, j, Cj.sum_mor(fs[j - 1], f2))),
+                        constraint(j, X, Cj.src(f2))),
                     (j, fs, f2))
         for X in obj_tuples:
             for X2, X3 in itertools.product(wins[j - 1], repeat=2):
                 report.evaluate(
                     "constraint-associativity",
                     lambda: D.compose(
-                        P.constraint(j, X, Cj.sum_obj(X2, X3)),
+                        constraint(j, X, Cj.sum_obj(X2, X3)),
                         D.sum_mor(D.identity(P.on_obj(X)),
-                                  P.constraint(j, replace_at(X, j, X2), X3))),
+                                  constraint(j, replace_at(X, j, X2), X3))),
                     lambda: D.compose(
-                        P.constraint(j, replace_at(X, j, Cj.sum_obj(X[j - 1], X2)), X3),
-                        D.sum_mor(P.constraint(j, X, X2),
+                        constraint(j, replace_at(X, j, Cj.sum_obj(X[j - 1], X2)), X3),
+                        D.sum_mor(constraint(j, X, X2),
                                   D.identity(P.on_obj(replace_at(X, j, X3))))),
                     (j, X, X2, X3))
         for X in obj_tuples:
@@ -653,13 +673,13 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                 report.evaluate(
                     "constraint-symmetry",
                     lambda: D.compose(
-                        P.on_mor(tuple(
+                        image(tuple(
                             Cj.xi(X[j - 1], X2) if i == j - 1
                             else P.sources[i].identity(X[i])
                             for i in range(P.arity))),
-                        P.constraint(j, X, X2)),
+                        constraint(j, X, X2)),
                     lambda: D.compose(
-                        P.constraint(j, swapped, X[j - 1]),
+                        constraint(j, swapped, X[j - 1]),
                         D.xi(P.on_obj(X), P.on_obj(swapped))),
                     (j, X, X2))
     for j, k in itertools.permutations(range(1, P.arity + 1), 2):
@@ -674,9 +694,9 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                     def path1():
                         jsum = replace_at(X, j, Cj.sum_obj(X[j - 1], X2))
                         return D.compose(
-                            P.constraint(k, jsum, X4),
-                            D.sum_mor(P.constraint(j, X, X2),
-                                      P.constraint(j, Xk4, X2)))
+                            constraint(k, jsum, X4),
+                            D.sum_mor(constraint(j, X, X2),
+                                      constraint(j, Xk4, X2)))
 
                     def path2():
                         shuffle = D.sum_mor(
@@ -686,10 +706,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                             D.identity(P.on_obj(Xboth)))
                         ksum = replace_at(X, k, Ck.sum_obj(X[k - 1], X4))
                         return D.compose(
-                            P.constraint(j, ksum, X2),
+                            constraint(j, ksum, X2),
                             D.compose(
-                                D.sum_mor(P.constraint(k, X, X4),
-                                          P.constraint(k, Xj2, X4)),
+                                D.sum_mor(constraint(k, X, X4),
+                                          constraint(k, Xj2, X4)),
                                 shuffle))
 
                     report.evaluate("constraint-2x2", path1, path2, (j, k, X, X2, X4))

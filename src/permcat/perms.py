@@ -196,7 +196,8 @@ def finmap_compose(g: FinMap, f: FinMap) -> FinMap:
     """``(g f)(i) = g(f(i))``; ``f`` is applied first."""
     if f.codomain != g.domain:
         raise ComposabilityError(f"[{f.domain}]->[{f.codomain}] then [{g.domain}]->[{g.codomain}]")
-    return FinMap(f.domain, g.codomain, tuple(g(f(i)) for i in range(1, f.domain + 1)))
+    images = g.images
+    return FinMap(f.domain, g.codomain, tuple([images[j - 1] for j in f.images]))
 
 
 def finmap_direct_sum(f: FinMap, g: FinMap) -> FinMap:

@@ -389,9 +389,11 @@ def braid_multifunctor(M1: Multicat, M2: Multicat) -> Multifunctor:
 
 class SPieces:
     """The small pieces ``S`` builds on the factors ``Ms``, cached per raw
-    argument (see the memo rule in the README): object images by the factor
-    profiles, tensor operations by their components, index products by the
-    factor maps, and constraint shuffles by ``(b, sizes, hat_b)``.  The
+    argument (see the memo rule in the README): object images and the grid's
+    unit operations on them by the factor profiles, tensor operations by
+    their components, index products by the factor maps, the grid cells of
+    a target by its factor lengths, and constraint shuffles by
+    ``(b, sizes, hat_b)``.  The
     operations of a grid factor, and only those, are grid operations; each
     is keyed by its components and twist and rebuilt on a miss.  Each part
     of a key is a separate argument, so the call's argument tuple is the
@@ -403,19 +405,22 @@ class SPieces:
     def __init__(self, Ms: tuple):
         self.Ms = Ms
         grids = tuple(M.factors if isinstance(M, TensorGridView) else None for M in Ms)
-        self._objects = cache(lambda *xs: s_object(Ms, xs))
+        self.grid = grid = tensor_grid(Ms)
+        self._objects = objects = cache(lambda *xs: s_object(Ms, xs))
+        self._units = cache(lambda *xs: tuple(map(grid.unit, objects(*xs))))
         self._ops = cache(lambda *raw: tensor_op(Ms, tuple(
-            c if grid is None else make_decomp(grid, *c) for grid, c in zip(grids, raw))))
+            c if factors is None else make_decomp(factors, *c)
+            for factors, c in zip(grids, raw))))
         self.product = cache(lambda *maps: product_map(maps))
+        self.cells = cache(lambda *sizes: tuple(grid_indices(sizes)))
         self.shuffle = cache(lambda b, sizes, hat_b: s_constraint_map(b, sizes, hat_b))
-
-    @cached_property
-    def grid(self) -> Multicat:
-        """The tensor view whose units the constraints use."""
-        return tensor_grid(self.Ms)
 
     def object(self, xs: tuple) -> Profile:
         return self._objects(*map(tuple, xs))
+
+    def units(self, xs: tuple) -> tuple:
+        """The grid's unit operations on the object image of ``xs``."""
+        return self._units(*map(tuple, xs))
 
     def tensor_op(self, ops: tuple) -> DecompOp:
         return self._ops(*((c.components, c.twist) if c.__class__ is DecompOp else c
@@ -447,7 +452,7 @@ def s_morphism(Ms: tuple, mors: tuple, pieces: SPieces | None = None) -> FreeMor
     t_sizes = tuple(len(t) for t in targets)
     ops = tuple(
         pieces.tensor_op(tuple(m.ops[k - 1] for m, k in zip(mors, ks)))
-        for ks in grid_indices(t_sizes))
+        for ks in pieces.cells(*t_sizes))
     return FreeMorphism(pieces.object(tuple(m.source for m in mors)),
                         pieces.object(targets), index, ops)
 
@@ -493,16 +498,17 @@ def s_constraint(Ms: tuple, b: int, xs: tuple, hat_xb: tuple,
     source = (pieces.object(xs)
               + pieces.object(tuple(x if i != b - 1 else hat_xb
                                     for i, x in enumerate(xs))))
-    target = pieces.object(merged_xs)
-    ops = tuple(map(pieces.grid.unit, target))
-    return FreeMorphism(source, target, rho, ops)
+    return FreeMorphism(source, pieces.object(merged_xs), rho, pieces.units(merged_xs))
 
 
 def s_functor(Ms: tuple) -> NLinearFunctor:
     """``S`` packaged as a strong multilinear functor between the free
     category views.  It owns one :class:`SPieces`, so each object image,
-    tensor operation, index product and constraint shuffle is built once
-    per raw argument; whole morphism and constraint images are not kept."""
+    tensor operation, index product, grid cell list and constraint shuffle
+    is built once per raw argument.  The functor keeps no whole morphism or
+    constraint image: :func:`permcat.permcats.validate_nlinear` keeps those
+    of its window for one call; elsewhere each is built about twice on
+    average (see the memo rule in the README)."""
     Ms = tuple(Ms)
     pieces = SPieces(Ms)
     sources = tuple(FreePermCat(M) for M in Ms)

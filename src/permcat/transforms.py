@@ -93,16 +93,20 @@ def rho(C) -> SymMonFunctor:
 
 def epsilon(C) -> SymMonFunctor:
     """The strict evaluation: sum the entries; a free morphism becomes the
-    sum of its fiber operations after the fiber-order sort."""
+    sum of its fiber operations after the fiber-order sort.  The functor
+    keeps each sort by its index map and source (see the memo rule in the
+    README): a window of free morphisms has far fewer of those pairs than
+    morphisms."""
     FE = FreePermCat(endo_multicat(C))
+    sort = cache(lambda index_map, source: perm_to_morphism(C, xi_f(index_map), source))
 
     def on_obj(x: Profile):
         return sum_objs(C, x)
 
     def on_mor(mor: FreeMorphism):
-        sort = perm_to_morphism(C, xi_f(mor.index_map), mor.source)
+        before = sort(mor.index_map, mor.source)
         pasted = sum_mors(C, [op.mor for op in mor.ops])
-        return C.compose(pasted, sort)
+        return C.compose(pasted, before)
 
     return SymMonFunctor(FE, C, on_obj, on_mor, None, None,
                          strict=True, strictly_unital=True, strong=True)

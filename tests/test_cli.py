@@ -244,13 +244,19 @@ class TestExitCodes:
         ("two-object.json", "gamma", {"outer": "ua", "inners": ["ua"]}, "ub",
          ["check-adjunction", None, doc("bool-or.json"), "--max-len", "2",
           "--max-arity", "1"]),
+        ("two-object.json", "gamma", {"outer": "ua", "inners": ["ua"]}, "m",
+         ["check-s", None, "--max-len", "2"]),
     ], ids=["sign-composition-endo", "sign-composition-adjunction",
             "sign-composition-mixed-adjunction", "sign-sum-endo", "sign-sum-adjunction",
-            "two-object-gamma-m-check-s", "two-object-gamma-ub-adjunction"])
-    def test_redirected_row_is_a_violation(self, capsys, tmp_path, name, table, row,
-                                           result, argv):
+            "two-object-gamma-m-check-s", "two-object-gamma-ub-adjunction",
+            "two-object-gamma-m-check-s-alone"])
+    def test_redirected_row_is_a_violation(self, capsys, monkeypatch, tmp_path, name,
+                                           table, row, result, argv):
         # a parseable document whose one row names a wrong result violates an
-        # axiom (exit 1) under every command; each of these once crashed (exit 3)
+        # axiom (exit 1) under every command; each of the first seven once
+        # crashed (exit 3) inside its suite, so the suite also runs on it
+        # without the input check and must not crash there either (the last
+        # one passes its suite alone: only the input check finds it)
         payload = json.loads((DOCS / name).read_text(encoding="utf-8"))
         [entry] = [entry for entry in payload[table]
                    if all(entry[k] == v for k, v in row.items())]
@@ -258,8 +264,37 @@ class TestExitCodes:
         broken = tmp_path / name
         broken.write_text(json.dumps(payload), encoding="utf-8")
         assert run(capsys, ["validate", str(broken)])[0] == 1
-        code, out, err = run(capsys, [str(broken) if a is None else a for a in argv])
+        argv = [str(broken) if a is None else a for a in argv]
+        code, out, err = run(capsys, argv)
         assert (code, err) == (1, ""), err
+        monkeypatch.setattr("permcat.cli._first_invalid", lambda documents: None)
+        code, out, err = run(capsys, argv)
+        assert code in (0, 1) and err == "", err
+
+    @pytest.mark.parametrize("name, table, row, result, argv", [
+        ("two-object.json", "gamma", {"outer": "ua", "inners": ["ua"]}, "m",
+         ["check-s", doc("mterm3.json"), None]),
+        ("two-object.json", "gamma", {"outer": "ua", "inners": ["ua"]}, "m",
+         ["check-adjunction", None, doc("bool-or.json")]),
+        ("sign.json", "composition", {"after": "0:+", "before": "0:+"}, "1:+",
+         ["check-adjunction", doc("two-object.json"), None]),
+    ], ids=["check-s", "check-adjunction-multicat", "check-adjunction-permcat"])
+    def test_an_invalid_input_gets_its_validate_report(self, capsys, tmp_path, name, table,
+                                                       row, result, argv):
+        # the comparison suites run only on inputs that validate; an input
+        # that does not gets the stdout, report and exit code of validate
+        payload = json.loads((DOCS / name).read_text(encoding="utf-8"))
+        [entry] = [entry for entry in payload[table]
+                   if all(entry[k] == v for k, v in row.items())]
+        entry["result"] = result
+        broken = tmp_path / name
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        reports = [tmp_path / "validate.json", tmp_path / "suite.json"]
+        expected = run(capsys, ["validate", str(broken), "--report", str(reports[0])])
+        observed = run(capsys, [str(broken) if a is None else a for a in argv]
+                       + ["--report", str(reports[1])])
+        assert observed == expected and expected[0] == 1
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(args):

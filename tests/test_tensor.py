@@ -22,7 +22,7 @@ from permcat.multicat import (
     validate_multicat,
     validate_multifunctor,
 )
-from permcat.permcats import validate_nlinear, validate_nlinear_nat
+from permcat.permcats import validate_nlinear, validate_nlinear_nat, window_mors
 from permcat.perms import (
     FinMap,
     Permutation,
@@ -521,8 +521,9 @@ def swap_without_transposition():
 
 
 class TestSImageCounts:
-    """``S`` builds each object image, tensor operation, index product,
-    constraint shuffle and grid unit once per functor and raw argument."""
+    """``S`` builds each object image, tuple of units on it, tensor
+    operation, index product, grid cell list, constraint shuffle and grid
+    unit once per functor and raw argument."""
 
     INSTANCES = {
         "preserves-identities": 6, "preserves-composition": 12,
@@ -558,17 +559,62 @@ class TestSImageCounts:
         infos = {kind: [cached(owner).cache_info() for owner in owners]
                  for kind, owners, cached in [
                      ("object", pieces, lambda p: p._objects),
+                     ("units", pieces, lambda p: p._units),
                      ("tensor_op", pieces, lambda p: p._ops),
                      ("product", pieces, lambda p: p.product),
+                     ("cells", pieces, lambda p: p.cells),
                      ("shuffle", pieces, lambda p: p.shuffle),
                      ("unit", views, lambda v: v.unit)]}
         # a call is a hit or a miss, and every miss builds the piece under
-        # the functor (or grid view) that asked for it
+        # the functor (or grid view) that asked for it; validate_nlinear
+        # applies S to each window tuple and builds each constraint once
         assert {kind: sum(i.hits + i.misses for i in info) for kind, info in infos.items()} == {
-            "object": 4164, "tensor_op": 172, "product": 339, "shuffle": 942, "unit": 996}
+            "object": 1289, "units": 115, "tensor_op": 82, "product": 122, "cells": 122,
+            "shuffle": 115, "unit": 280}
         assert {kind: sum(i.misses for i in info) for kind, info in infos.items()} == {
-            "object": 62, "tensor_op": 18, "product": 45, "shuffle": 40, "unit": 2}
+            "object": 62, "units": 40, "tensor_op": 18, "product": 45, "cells": 24, "shuffle": 40,
+            "unit": 2}
         assert kernel_calls == {"s_object": 62, "s_constraint_map": 40}
+
+    def test_check_s_kernel_work(self, monkeypatch):
+        # the work of check_s_suite on these factors, pinned: a change that
+        # applies S or builds its constraints more often shows up here
+        calls = Counter()
+
+        def counting(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        for name in ("s_morphism", "s_constraint"):
+            monkeypatch.setattr(tensor, name, counting(name, getattr(tensor, name)))
+        report = check_s_suite((terminal_multicat(3), TWO), 1)
+        assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
+        assert calls == {"s_morphism": 122, "s_constraint": 115}
+
+    def test_validate_nlinear_builds_each_window_image_and_constraint_once(self):
+        S = s_functor((terminal_multicat(3), TWO))
+        windows = [F.enumerate_objects(1) for F in S.sources]
+        images, constraints = Counter(), Counter()
+
+        def mor_map(fs):
+            images[fs] += 1
+            return S.mor_map(fs)
+
+        def constraint(*args):
+            constraints[args] += 1
+            return S.constraints(*args)
+
+        report = validate_nlinear(replace(S, mor_map=mor_map, constraints=constraint),
+                                  objects=windows)
+        assert report.passed, report.summary()
+        window = set(itertools.product(*(window_mors(F, w)
+                                         for F, w in zip(S.sources, windows))))
+        assert {fs: images[fs] for fs in window} == dict.fromkeys(window, 1)
+        assert set(constraints.values()) == {1}
+        # the tuples outside the window are mapped by value, once per use
+        assert (sum(images.values()), len(window), len(constraints)) == (44, 9, 115)
 
     def test_a_raising_tensor_op_raises_on_every_call(self, monkeypatch):
         broken = swap_without_transposition()

@@ -316,6 +316,34 @@ class TestCounterexample:
         assert calls == [99, 99, 9801]
 
 
+    def test_counit_sorts_once_per_index_map_and_source(self, monkeypatch):
+        asked, sorts = [], []
+        honest_epsilon, honest_sort = transforms.epsilon, transforms.perm_to_morphism
+
+        def recording_epsilon(C):
+            E = honest_epsilon(C)
+            pairs = set()
+            asked.append(pairs)
+
+            def on_mor(mor):
+                pairs.add((mor.index_map, mor.source))
+                return E.on_mor(mor)
+
+            return replace(E, mor_map=on_mor)
+
+        def counting_sort(*args):
+            sorts.append(args)
+            return honest_sort(*args)
+
+        monkeypatch.setattr(transforms, "epsilon", recording_epsilon)
+        monkeypatch.setattr(transforms, "perm_to_morphism", counting_sort)
+        report = epsilon_square(sign_multiplication(POS, POS))
+        counts = [(c.axiom, c.instances, len(c.violations)) for c in report.checks]
+        assert counts == [("square", 9801, 0)]
+        # each counit sorts once per distinct (index map, source) it is given
+        assert [len(pairs) for pairs in asked] == [29, 29, 316]
+        assert len(sorts) == sum(len(pairs) for pairs in asked)
+
 class TestMarking:
     @pytest.mark.parametrize("C", PERMCATS, ids=lambda c: c.name)
     def test_marked_category_validates(self, C):
