@@ -557,6 +557,13 @@ def _windows(P: NLinearFunctor, objects) -> tuple[list, list, list]:
             [window_mors(S, w) for S, w in zip(P.sources, wins)])
 
 
+def _compares_raw(C) -> bool:
+    """Whether equal morphisms of ``C`` have one raw form, so that a memo
+    may find them by ``==``.  The free category of a grid does not: its
+    operations compare through the canonical key."""
+    return not getattr(getattr(C, "base", None), "canonical_ops", False)
+
+
 def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> CheckReport:
     """All five multilinearity axioms, exhaustively over object windows.
 
@@ -571,8 +578,11 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     indices, and each constraint component under its raw objects (see the
     memo rule in the README), so every axiom that meets the same image or
     component again looks it up; a tuple with a morphism outside the
-    windows is mapped by value.  Images are compared, composed and summed
-    by value in the target, and never hashed.
+    windows is mapped by value.  A window morphism is found by ``==`` only
+    in a source whose equal morphisms have one raw form: the free category
+    of a grid compares through the canonical key, so its tuples are all
+    mapped by value.  Images are compared, composed and summed by value in
+    the target, and never hashed.
     """
     D = P.target
     report = CheckReport("n-linear-functor")
@@ -583,8 +593,8 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         return report
     wins, obj_tuples, hom_lists = _windows(P, objects)
     mor_tuples = list(itertools.product(*hom_lists))
-    idx_tuples = list(itertools.product(*(range(len(hs)) for hs in hom_lists)))
-    indices = [{f: i for i, f in enumerate(hs)} for hs in hom_lists]
+    indices = [{f: i for i, f in enumerate(hs)} if _compares_raw(S) else {}
+               for S, hs in zip(P.sources, hom_lists)]
     window_image = cache(lambda *idx: P.on_mor(tuple(hs[i] for hs, i in zip(hom_lists, idx))))
     constraint = cache(P.constraint)
 
@@ -593,8 +603,8 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         idx = tuple(index.get(f) for index, f in zip(indices, fs))
         return P.on_mor(fs) if None in idx else window_image(*idx)
 
-    for idx, fs in zip(idx_tuples, mor_tuples):
-        im = window_image(*idx)
+    for fs in mor_tuples:
+        im = image(fs)
         report.expect("functor-typing",
                       (D.src(im), D.tgt(im)),
                       (P.on_obj(tuple(S.src(f) for S, f in zip(P.sources, fs))),
@@ -603,16 +613,14 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     for X in obj_tuples:
         ids = tuple(S.identity(x) for S, x in zip(P.sources, X))
         report.expect("functor-identities", image(ids), D.identity(P.on_obj(X)), ("id", X))
-    afters = [by_source(lambda i, S=S, hs=hs: S.src(hs[i]), range(len(hs)))
-              for S, hs in zip(P.sources, hom_lists)]
-    for ifs, fs in zip(idx_tuples, mor_tuples):
-        for igs in itertools.product(*(after.get(S.tgt(f), ())
-                                       for S, after, f in zip(P.sources, afters, fs))):
-            gs = tuple(hs[i] for hs, i in zip(hom_lists, igs))
+    afters = [by_source(S.src, hs) for S, hs in zip(P.sources, hom_lists)]
+    for fs in mor_tuples:
+        for gs in itertools.product(*(after.get(S.tgt(f), ())
+                                      for S, after, f in zip(P.sources, afters, fs))):
             report.evaluate("functor-composition",
                             lambda: image(tuple(S.compose(g, f)
                                                 for S, f, g in zip(P.sources, fs, gs))),
-                            lambda: D.compose(window_image(*igs), window_image(*ifs)),
+                            lambda: D.compose(image(gs), image(fs)),
                             (gs, fs))
 
     all_strict = True
@@ -641,15 +649,15 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                               ("typing", j, X, X2))
                 if any(x == P.sources[i].unit for i, x in enumerate(X)) or X2 == Cj.unit:
                     report.expect("constraint-unity", c, D.identity(D.src(c)), (j, X, X2))
-        for idx, fs in zip(idx_tuples, mor_tuples):
-            for i2, f2 in enumerate(hom_lists[j - 1]):
+        for fs in mor_tuples:
+            for f2 in hom_lists[j - 1]:
                 X = tuple(S.src(f) for S, f in zip(P.sources, fs))
                 Y = tuple(S.tgt(f) for S, f in zip(P.sources, fs))
                 report.evaluate(
                     "constraint-naturality",
                     lambda: D.compose(
                         constraint(j, Y, Cj.tgt(f2)),
-                        D.sum_mor(window_image(*idx), window_image(*replace_at(idx, j, i2)))),
+                        D.sum_mor(image(fs), image(replace_at(fs, j, f2)))),
                     lambda: D.compose(
                         image(replace_at(fs, j, Cj.sum_mor(fs[j - 1], f2))),
                         constraint(j, X, Cj.src(f2))),

@@ -201,7 +201,10 @@ class TensorGridView(Multicat):
 
     A view caches its units per object tuple and its composites per raw
     normal form of the arguments (components and twists): see the memo
-    rule in the README."""
+    rule in the README.  Its operations compare through the canonical key,
+    so a memo that finds them by ``==`` would merge distinct raw forms."""
+
+    canonical_ops = True
 
     def __init__(self, factors: tuple):
         self.factors = tuple(factors)

@@ -22,7 +22,12 @@ from permcat.multicat import (
     validate_multicat,
     validate_multifunctor,
 )
-from permcat.permcats import validate_nlinear, validate_nlinear_nat, window_mors
+from permcat.permcats import (
+    identity_nlinear,
+    validate_nlinear,
+    validate_nlinear_nat,
+    window_mors,
+)
 from permcat.perms import (
     FinMap,
     Permutation,
@@ -615,6 +620,23 @@ class TestSImageCounts:
         assert set(constraints.values()) == {1}
         # the tuples outside the window are mapped by value, once per use
         assert (sum(images.values()), len(window), len(constraints)) == (44, 9, 115)
+
+    def test_validate_nlinear_maps_a_grid_source_by_value(self):
+        # equal morphisms of a grid's free category can differ in raw form,
+        # so validate_nlinear finds none of them in its window memo: every
+        # use of a window morphism maps it again
+        F = FreePermCat(tensor_grid((MTERM2, TWO)))
+        window = F.enumerate_objects(1)
+        images = Counter()
+
+        def mor_map(fs):
+            images[fs] += 1
+            return fs[0]
+
+        report = validate_nlinear(replace(identity_nlinear(F), mor_map=mor_map),
+                                  objects=[window])
+        assert report.passed, report.summary()
+        assert sorted(images[(f,)] for f in window_mors(F, window)) == [17, 17, 20, 20, 24]
 
     def test_a_raising_tensor_op_raises_on_every_call(self, monkeypatch):
         broken = swap_without_transposition()
