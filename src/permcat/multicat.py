@@ -35,7 +35,7 @@ from .perms import (
     perm_compose,
     profiles,
 )
-from .reports import CheckReport
+from .reports import CheckReport, numbering
 
 
 class Multicat:
@@ -361,29 +361,18 @@ def validate_multicat(M: Multicat, max_arity: int | None = None,
     missing table entry or a boundary mismatch) is a counted violation
     witnessed ``ill-typed``.
 
-    Every operation the check meets is numbered once per call, the
-    window's operations first in entry order, and every leg works on
-    these indices: each composite and each action is cached per call
-    under the indices of its operands (and the images of the permutation;
-    see the memo rule in the README) and numbered in turn, so the next
-    composition or action of a leg is a lookup too, and the legs of an
-    instance compare as indices.  A lawful multicategory computes no
-    operation outside its window; an unlawful one's are numbered after
-    it.  The index tuples of window operations that fill a slot profile
-    are enumerated once per profile and call, for composition typing and
-    associativity alike.  Associativity is decided one row per composable
+    Every operation the check meets is numbered by
+    :func:`permcat.reports.numbering` and every leg works on its indices
+    (see the memo rule in the README).  The index tuples of window
+    operations that fill a slot profile are enumerated once per profile
+    and call, for composition typing and associativity alike.
+    Associativity is decided one row per composable
     ``(outer, middles)``, over the leaf tuples of the middles (see the row
     rule in :mod:`permcat.reports`).
     """
     A, objs, entries = _window(M, max_arity, objects)
     report = CheckReport(getattr(M, "name", "multicat"))
-    ops = []
-
-    @functools.cache
-    def number(op) -> int:
-        ops.append(op)
-        return len(ops) - 1
-
+    ops, _, number = numbering(op for _, _, op in entries)
     window = [number(op) for _, _, op in entries]
     by_output = _by_output((target, profile, i)
                            for (target, profile, _), i in zip(entries, window))

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import BoundExceededError, ComposabilityError, MalformedStructureError
 from .perms import Permutation, Profile, perm_act
-from .reports import CheckReport
+from .reports import CheckReport, numbering
 
 
 @dataclass(frozen=True)
@@ -159,65 +159,47 @@ def validate_permcat(C, objects: Sequence | None = None,
     ill-typed components (a leg that cannot even be composed) are
     violations.
 
-    The window morphisms are numbered once, and the composite of each pair
-    of them is cached per call under the index pair (see the memo rule in
-    the README), as the window's own morphism when it is one, so the next
-    composition of an associativity leg is a lookup too.  A morphism
-    outside the window is composed by value and not numbered: those are
-    mostly sums composed once, and numbering them all, as
-    :func:`permcat.multicat.validate_multicat` numbers its operations, costs
-    more memory than it saves (see the memo rule).  Associativity is
-    decided one row per composable ``(g, f)``, over every ``h`` that can
-    follow ``g``, and the interchange law one row per ``(f, g, f2)``, over
-    every ``g2`` that can follow ``g`` (see the row rule in
-    :mod:`permcat.reports`).
+    Composition works on the indices of :func:`permcat.reports.numbering`,
+    and the sums and the legs that compose them stay by value (see the
+    memo rule in the README).  Associativity is decided one row per
+    composable ``(g, f)``, over every ``h`` that can follow ``g``, and the
+    interchange law one row per ``(f, g, f2)``, over every ``g2`` that can
+    follow ``g`` (see the row rule in :mod:`permcat.reports`).
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
     mors = window_mors(C, objs)
     heavy = mors if interchange_objects is None else window_mors(C, tuple(interchange_objects))
 
-    index = {f: i for i, f in enumerate(dict.fromkeys(mors + heavy))}
-    window = list(index)
-
-    def numbered(f) -> tuple:
-        """``f`` with its window index, ``None`` outside the window."""
-        return f, index.get(f)
-
-    @cache
-    def composite(i: int, j: int) -> tuple:
-        """The window morphism ``i`` after ``j``, numbered."""
-        gf = C.compose(window[i], window[j])
-        k = index.get(gf)
-        return (gf, None) if k is None else (window[k], k)
-
-    def comp(g: tuple, f: tuple) -> tuple:
-        """``g`` after ``f`` on numbered morphisms, numbered."""
-        (gv, i), (fv, j) = g, f
-        if i is None or j is None:
-            return C.compose(gv, fv), None
-        return composite(i, j)
+    window, index, number = numbering(mors + heavy)
+    composite = cache(lambda i, j: number(C.compose(window[i], window[j])))
 
     def compose(g, f):
-        return comp(numbered(g), numbered(f))[0]
+        """``g`` after ``f`` by value, looked up for a window pair."""
+        i, j = index.get(g), index.get(f)
+        return C.compose(g, f) if i is None or j is None else window[composite(i, j)]
+
+    def src(i: int):
+        return C.src(window[i])
 
     for x in objs:
-        i = C.identity(x)
-        report.expect("identity-typing", (C.src(i), C.tgt(i)), (x, x), ("id", x))
+        e = C.identity(x)
+        report.expect("identity-typing", (C.src(e), C.tgt(e)), (x, x), ("id", x))
     for f in mors:
-        report.evaluate("category-unity", lambda: compose(C.identity(C.tgt(f)), f),
-                        lambda: f, ("left", f))
-        report.evaluate("category-unity", lambda: compose(f, C.identity(C.src(f))),
-                        lambda: f, ("right", f))
-    numbered_mors = [numbered(f) for f in mors]
-    after = by_source(lambda f: C.src(f[0]), numbered_mors)
-    for f in numbered_mors:
-        for g in after.get(C.tgt(f[0]), ()):
+        i = index[f]
+        report.evaluate("category-unity", lambda: composite(number(C.identity(C.tgt(f))), i),
+                        lambda: i, ("left", f))
+        report.evaluate("category-unity", lambda: composite(i, number(C.identity(C.src(f)))),
+                        lambda: i, ("right", f))
+    after = by_source(src, [index[f] for f in mors])
+    for f in mors:
+        j = index[f]
+        for i in after.get(C.tgt(f), ()):
             report.evaluate_row("category-associativity",
-                                lambda h: comp(h, comp(g, f))[0],
-                                lambda h: comp(comp(h, g), f)[0],
-                                after.get(C.tgt(g[0]), ()),
-                                lambda h: (h[0], g[0], f[0]))
+                                lambda k: composite(k, composite(i, j)),
+                                lambda k: composite(composite(k, i), j),
+                                after.get(C.tgt(window[i]), ()),
+                                lambda k: (window[k], window[i], f))
 
     for x in objs:
         report.expect("sum-unity", C.sum_obj(C.unit, x), x, ("left", x))
@@ -239,16 +221,18 @@ def validate_permcat(C, objects: Sequence | None = None,
                       (C.src(C.sum_mor(f, g)), C.tgt(C.sum_mor(f, g))),
                       (C.sum_obj(C.src(f), C.src(g)), C.sum_obj(C.tgt(f), C.tgt(g))),
                       ("sum", f, g))
-    numbered_heavy = [numbered(f) for f in heavy]
-    heavy_after = by_source(lambda f: C.src(f[0]), numbered_heavy)
-    for f, g in itertools.product(numbered_heavy, repeat=2):
-        for f2 in heavy_after.get(C.tgt(f[0]), ()):
+    # the interchange law on window indices: (f2 + g2) after (f + g)
+    heavy_after = by_source(src, [index[f] for f in heavy])
+    for f, g in itertools.product(heavy, repeat=2):
+        i, j = index[f], index[g]
+        for i2 in heavy_after.get(C.tgt(f), ()):
             report.evaluate_row("sum-functoriality",
-                                lambda g2: C.sum_mor(comp(f2, f)[0], comp(g2, g)[0]),
-                                lambda g2: compose(C.sum_mor(f2[0], g2[0]),
-                                                   C.sum_mor(f[0], g[0])),
-                                heavy_after.get(C.tgt(g[0]), ()),
-                                lambda g2: ("interchange", f2[0], f[0], g2[0], g[0]))
+                                lambda j2: C.sum_mor(window[composite(i2, i)],
+                                                     window[composite(j2, j)]),
+                                lambda j2: compose(C.sum_mor(window[i2], window[j2]),
+                                                   C.sum_mor(f, g)),
+                                heavy_after.get(C.tgt(g), ()),
+                                lambda j2: ("interchange", window[i2], f, window[j2], g))
     for f, g, h in itertools.product(heavy, repeat=3):
         report.expect("sum-associativity",
                       C.sum_mor(C.sum_mor(f, g), h), C.sum_mor(f, C.sum_mor(g, h)),
@@ -573,16 +557,12 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     component unclassified; one that is ill-typed is also a counted
     ``constraint-invertibility`` violation, the only instances of that check.
 
-    Each source's window morphisms are numbered once.  The image of each
-    tuple of window morphisms is cached per call under its tuple of window
-    indices, and each constraint component under its raw objects (see the
-    memo rule in the README), so every axiom that meets the same image or
-    component again looks it up; a tuple with a morphism outside the
-    windows is mapped by value.  A window morphism is found by ``==`` only
-    in a source whose equal morphisms have one raw form: the free category
-    of a grid compares through the canonical key, so its tuples are all
-    mapped by value.  Images are compared, composed and summed by value in
-    the target, and never hashed.
+    The image of each tuple of window morphisms is cached under their
+    indices in :func:`permcat.reports.numbering`, each constraint
+    component under its raw objects, and everything else is mapped,
+    compared, composed and summed by value (see the memo rule in the
+    README); a source whose equal morphisms lack one raw form, the free
+    category of a grid, is not numbered.
     """
     D = P.target
     report = CheckReport("n-linear-functor")
@@ -593,14 +573,14 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         return report
     wins, obj_tuples, hom_lists = _windows(P, objects)
     mor_tuples = list(itertools.product(*hom_lists))
-    indices = [{f: i for i, f in enumerate(hs)} if _compares_raw(S) else {}
-               for S, hs in zip(P.sources, hom_lists)]
-    window_image = cache(lambda *idx: P.on_mor(tuple(hs[i] for hs, i in zip(hom_lists, idx))))
+    numbered = [numbering(hs)[:2] if _compares_raw(S) else ((), {})
+                for S, hs in zip(P.sources, hom_lists)]
+    window_image = cache(lambda *idx: P.on_mor(tuple(hs[i] for (hs, _), i in zip(numbered, idx))))
     constraint = cache(P.constraint)
 
     def image(fs: tuple):
         """``P.on_mor(fs)``, looked up when every entry is a window morphism."""
-        idx = tuple(index.get(f) for index, f in zip(indices, fs))
+        idx = tuple(index.get(f) for (_, index), f in zip(numbered, fs))
         return P.on_mor(fs) if None in idx else window_image(*idx)
 
     for fs in mor_tuples:

@@ -27,6 +27,7 @@ one.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -65,6 +66,25 @@ def render(value) -> str:
         items = sorted(value.items(), key=lambda kv: kv[0])
         return "{" + ", ".join(f"{k}: {render(v)}" for k, v in items) + "}"
     return repr(value)
+
+
+def numbering(window) -> tuple:
+    """``(values, index, number)``: the values of ``window`` numbered in
+    order without repeats, a map that finds each of them, and a cache that
+    numbers any value, a value outside the window after it.  ``values``
+    grows as ``number`` numbers new ones; ``index`` stays the window's."""
+    values = list(dict.fromkeys(window))
+    index = {v: i for i, v in enumerate(values)}
+
+    @functools.cache
+    def number(value) -> int:
+        i = index.get(value)
+        if i is None:
+            values.append(value)
+            i = len(values) - 1
+        return i
+
+    return values, index, number
 
 
 @dataclass

@@ -57,6 +57,10 @@ CASES = {
     "permcat-sign": lambda: validate_permcat(SIGN),
     "permcat-free-two": lambda: validate_permcat(
         FREE_TWO, objects=FREE_TWO.enumerate_objects(2)),
+    # the split window of the ``free`` command: interchange over a shorter one
+    "permcat-free-two-split": lambda: validate_permcat(
+        FREE_TWO, objects=FREE_TWO.enumerate_objects(2),
+        interchange_objects=FREE_TWO.enumerate_objects(1)),
     "ill-typed": lambda: validate_permcat(sign_without_a_composite()),
     "smf-identity-sign": lambda: validate_smf(identity_smf(SIGN)),
     "smf-free-two": lambda: validate_smf(free_on_multifunctor(identity_multifunctor(TWO)),
@@ -84,6 +88,7 @@ DIGESTS = {
     "nlinear": (362, "5932c11ffde6b5c14410bd5c8537ecd0117c0a80f43da6fa393e82db5ca43bd0"),
     "nlinear-nat": (39, "6a9ef5c1696849c0b484ba5db65954e1581231f61a7dc3ef90aaf3fdc5a280a4"),
     "permcat-free-two": (4129, "2b47403027a10b9397aca4de0da6c1d852780ceb0f09767eebff5c0790dd7a95"),
+    "permcat-free-two-split": (1343, "7a08f90313e4c6a53996b754a3c4ddb55dbed343210485f8dd177ddf2274ba63"),
     "permcat-sign": (230, "d637dc9839cb7a1df82d73f0e6a2853707faaf1601cc7dae4da01656deb52c03"),
     "ring": (5060, "ce3349d0abf13702f5c2bef8de7e3731c338144ae0a1e4574f60039f24022b68"),
     "smf-free-two": (770, "3df14cad1a29e136633312b96d6ac2831003404e9ea42a6cfb783cc7244db4d4"),

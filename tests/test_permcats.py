@@ -49,7 +49,7 @@ from permcat.permcats import (
     validate_smf,
 )
 from permcat.perms import Permutation, all_perms, identity_perm, perm_act, perm_compose
-from permcat.reports import render
+from permcat.reports import CheckReport, render
 
 BOOL = bool_or_permcat()
 Z3 = zmod_permcat(3)
@@ -381,6 +381,60 @@ class TestWindowMemo:
         assert [v.witness for v in associativity] == expected
         assert all(v.witness.startswith("(ill-typed, ") for v in report.violations())
         assert C.calls[pair] == len(report.violations())
+
+
+class RedirectedComposite(WithheldComposite):
+    """``C`` whose composite of the one pair ``pair`` is ``result``."""
+
+    def __init__(self, C, pair, result):
+        super().__init__(C, pair)
+        self.result = result
+
+    def compose(self, g, f):
+        return self.result if (g, f) == self.pair else self.C.compose(g, f)
+
+
+def category_axioms_by_value(C, mors) -> CheckReport:
+    """Category unity and associativity over ``mors``, every leg composed
+    by value, in the order ``validate_permcat`` enumerates them."""
+    report = CheckReport("by-value")
+    for f in mors:
+        report.evaluate("category-unity", lambda: C.compose(C.identity(C.tgt(f)), f),
+                        lambda: f, ("left", f))
+        report.evaluate("category-unity", lambda: C.compose(f, C.identity(C.src(f))),
+                        lambda: f, ("right", f))
+    for f in mors:
+        for g in (g for g in mors if C.src(g) == C.tgt(f)):
+            for h in (h for h in mors if C.src(h) == C.tgt(g)):
+                report.evaluate("category-associativity",
+                                lambda: C.compose(h, C.compose(g, f)),
+                                lambda: C.compose(C.compose(h, g), f), (h, g, f))
+    return report
+
+
+class TestOutOfWindowComposite:
+    """A window pair whose composite is a morphism outside the window:
+    unity and associativity report what composing every leg by value
+    reports, whether the outside morphism is numbered or not."""
+
+    def test_matches_composing_by_value(self):
+        F = MTERM3_FREE
+        g = F.hom(("*",), ("*", "*"))[0]
+        outside = F.hom(("*",), ("*", "*", "*"))[0]
+        C = RedirectedComposite(F, (g, F.identity(("*",))), outside)
+        report = validate_permcat(C, objects=WINDOW)
+        expected = category_axioms_by_value(C, TestWindowMemo.MORS)
+        for axiom in ("category-unity", "category-associativity"):
+            got, want = report.check(axiom), expected.check(axiom)
+            assert got.instances == want.instances == WINDOW_COUNTS[axiom]
+            assert [v.witness for v in got.violations] == [v.witness for v in want.violations]
+        assert [v.witness for v in report.check("category-unity").violations] == \
+            [render(("right", g))]
+        # the outside morphism is composed on: some legs are ill-typed, and
+        # some compose to a morphism other than the window's composite
+        ill_typed = Counter(v.witness.startswith("(ill-typed, ")
+                            for v in report.check("category-associativity").violations)
+        assert ill_typed[True] and ill_typed[False]
 
 
 class TestSigmaAction:

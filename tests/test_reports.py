@@ -18,7 +18,7 @@ from permcat.errors import (
 from permcat.fixtures import sign_permcat, swap_operad, two_object_multicat
 from permcat.multicat import terminal_multicat, validate_multicat
 from permcat.permcats import validate_permcat
-from permcat.reports import ILL_TYPED, UNKNOWN, CheckReport
+from permcat.reports import ILL_TYPED, UNKNOWN, CheckReport, numbering
 from permcat.tensor import tensor_op
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "permcat"
@@ -312,6 +312,54 @@ def test_memos_are_per_owner_caches():
               and any(isinstance(target, ast.Subscript) for target in node.targets)]
     assert [(name, function) for name, function, _ in stores] == [("reports.py", "check")], \
         stores
+
+
+def _inverts_enumerate(node) -> bool:
+    """A dict comprehension ``{v: i for i, v in enumerate(...)}``."""
+    if not (isinstance(node, ast.DictComp) and len(node.generators) == 1):
+        return False
+    loop = node.generators[0]
+    return (_callee(loop.iter) == "enumerate" and isinstance(loop.target, ast.Tuple)
+            and [getattr(n, "id", None) for n in loop.target.elts]
+            == [getattr(node.value, "id", 0), getattr(node.key, "id", 0)])
+
+
+def _last_position_of(node):
+    """``xs`` of an expression ``len(xs) - 1``; None for any other node."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and _callee(node.left) == "len" and isinstance(node.left.args[0], ast.Name)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1):
+        return node.left.args[0].id
+    return None
+
+
+def test_only_numbering_builds_a_value_index():
+    """``reports.numbering`` alone maps values to their positions: no other
+    function inverts an ``enumerate`` or appends a value and takes its
+    position as its number."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(_nodes(_tree(path)))
+        appended = {(function, node.func.value.id) for function, node in nodes
+                    if _callee(node) == "append" and isinstance(node.func.value, ast.Name)}
+        offenders += sorted({(path.name, function) for function, node in nodes
+                             if _inverts_enumerate(node)
+                             or (function, _last_position_of(node)) in appended})
+    assert offenders == [("reports.py", "number"), ("reports.py", "numbering")], offenders
+
+
+class TestNumbering:
+    def test_equal_window_values_share_a_number(self):
+        values, index, number = numbering([("x",), ("y",), ("x",)])
+        assert values == [("x",), ("y",)]
+        assert index == {("x",): 0, ("y",): 1}
+        assert [number(("x",)), number(("y",)), number(("x",))] == [0, 1, 0]
+
+    def test_new_values_are_numbered_after_the_window(self):
+        values, index, number = numbering("ab")
+        assert [number("c"), number("a"), number("d"), number("c")] == [2, 0, 3, 2]
+        assert values == ["a", "b", "c", "d"]
+        assert index == {"a": 0, "b": 1}
 
 
 def _callee(node):
