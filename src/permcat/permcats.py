@@ -548,6 +548,24 @@ def _compares_raw(C) -> bool:
     return not getattr(getattr(C, "base", None), "canonical_ops", False)
 
 
+def window_images(P: NLinearFunctor, hom_lists: Sequence) -> Callable:
+    """``P.on_mor`` that keeps, for the life of the returned function, the
+    image of each tuple of window morphisms under their indices in
+    :func:`permcat.reports.numbering` of ``hom_lists`` (one list per
+    source), and maps every other tuple by value.  A source whose equal
+    morphisms lack one raw form, the free category of a grid, is not
+    numbered (see the memo rule in the README)."""
+    numbered = [numbering(hs)[:2] if _compares_raw(S) else ((), {})
+                for S, hs in zip(P.sources, hom_lists)]
+    kept = cache(lambda *idx: P.on_mor(tuple(hs[i] for (hs, _), i in zip(numbered, idx))))
+
+    def image(fs: tuple):
+        idx = tuple(index.get(f) for (_, index), f in zip(numbered, fs))
+        return P.on_mor(fs) if None in idx else kept(*idx)
+
+    return image
+
+
 def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> CheckReport:
     """All five multilinearity axioms, exhaustively over object windows.
 
@@ -557,12 +575,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     component unclassified; one that is ill-typed is also a counted
     ``constraint-invertibility`` violation, the only instances of that check.
 
-    The image of each tuple of window morphisms is cached under their
-    indices in :func:`permcat.reports.numbering`, each constraint
-    component under its raw objects, and everything else is mapped,
-    compared, composed and summed by value (see the memo rule in the
-    README); a source whose equal morphisms lack one raw form, the free
-    category of a grid, is not numbered.
+    The image of each tuple of window morphisms is kept by
+    :func:`window_images`, each constraint component under its raw
+    objects, and everything else is mapped, compared, composed and summed
+    by value (see the memo rule in the README).
     """
     D = P.target
     report = CheckReport("n-linear-functor")
@@ -573,15 +589,8 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         return report
     wins, obj_tuples, hom_lists = _windows(P, objects)
     mor_tuples = list(itertools.product(*hom_lists))
-    numbered = [numbering(hs)[:2] if _compares_raw(S) else ((), {})
-                for S, hs in zip(P.sources, hom_lists)]
-    window_image = cache(lambda *idx: P.on_mor(tuple(hs[i] for (hs, _), i in zip(numbered, idx))))
+    image = window_images(P, hom_lists)
     constraint = cache(P.constraint)
-
-    def image(fs: tuple):
-        """``P.on_mor(fs)``, looked up when every entry is a window morphism."""
-        idx = tuple(index.get(f) for (_, index), f in zip(numbered, fs))
-        return P.on_mor(fs) if None in idx else window_image(*idx)
 
     for fs in mor_tuples:
         im = image(fs)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 
 from .errors import ComposabilityError, UnsupportedFragmentError
@@ -38,7 +38,14 @@ from .multicat import (
     initial_operad,
     terminal_multicat,
 )
-from .permcats import NLinearFunctor, NLinearNat, by_source, validate_nlinear, window_mors
+from .permcats import (
+    NLinearFunctor,
+    NLinearNat,
+    by_source,
+    validate_nlinear,
+    window_images,
+    window_mors,
+)
 from .perms import (
     FinMap,
     Permutation,
@@ -509,9 +516,11 @@ def s_functor(Ms: tuple) -> NLinearFunctor:
     category views.  It owns one :class:`SPieces`, so each object image,
     tensor operation, index product, grid cell list and constraint shuffle
     is built once per raw argument.  The functor keeps no whole morphism or
-    constraint image: :func:`permcat.permcats.validate_nlinear` keeps those
-    of its window for one call; elsewhere each is built about twice on
-    average (see the memo rule in the README)."""
+    constraint image; the call that reuses one keeps it:
+    :func:`permcat.permcats.validate_nlinear` its window's constraints,
+    :func:`permcat.permcats.window_images` the images of window tuples,
+    and :func:`permcat.transforms.epsilon_square` none, since each image
+    serves every square at once (see the memo rule in the README)."""
     Ms = tuple(Ms)
     pieces = SPieces(Ms)
     sources = tuple(FreePermCat(M) for M in Ms)
@@ -548,11 +557,15 @@ def f_multi_nat(theta: MultiNat, Ms: tuple) -> NLinearNat:
 def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
     """The coherence suite of ``S`` on the factors ``Ms``: functoriality and
     strong multilinearity over the length-``max_len`` windows, then
-    naturality against identity and collapse multifunctors."""
+    naturality against identity and collapse multifunctors.  The suite's
+    ``S`` keeps the image of each tuple of window morphisms
+    (:func:`permcat.permcats.window_images`), so the functoriality checks
+    and the multilinear check map each of them once."""
     report = CheckReport("comparison-functor-suite")
     S = s_functor(Ms)
     windows = [F.enumerate_objects(max_len) for F in S.sources]
     mor_lists = [window_mors(F, w) for F, w in zip(S.sources, windows)]
+    S = replace(S, mor_map=window_images(S, mor_lists))
 
     for xs in itertools.product(*windows):
         ids = tuple(F.identity(x) for F, x in zip(S.sources, xs))

@@ -5,13 +5,13 @@ from dataclasses import replace
 
 import pytest
 
-from permcat import tensor
+from permcat import endo, tensor, transforms
 from permcat.errors import (
     ComposabilityError,
     MalformedStructureError,
     UnsupportedFragmentError,
 )
-from permcat.fixtures import sign_operad, swap_operad, two_object_multicat
+from permcat.fixtures import bool_or_permcat, sign_operad, swap_operad, two_object_multicat
 from permcat.free import FreeMorphism, FreePermCat, free_identity, free_on_multifunctor
 from permcat.multicat import (
     FinMulticat,
@@ -62,6 +62,7 @@ from permcat.tensor import (
     tensor_op,
     tensor_op_transposed,
 )
+from permcat.transforms import check_adjunction_suite
 
 SIGNS2 = sign_operad(2)
 SWAP = swap_operad()
@@ -571,10 +572,10 @@ class TestSImageCounts:
                      ("shuffle", pieces, lambda p: p.shuffle),
                      ("unit", views, lambda v: v.unit)]}
         # a call is a hit or a miss, and every miss builds the piece under
-        # the functor (or grid view) that asked for it; validate_nlinear
-        # applies S to each window tuple and builds each constraint once
+        # the functor (or grid view) that asked for it; the suite applies S
+        # to each window tuple and validate_nlinear builds each constraint once
         assert {kind: sum(i.hits + i.misses for i in info) for kind, info in infos.items()} == {
-            "object": 1289, "units": 115, "tensor_op": 82, "product": 122, "cells": 122,
+            "object": 1205, "units": 115, "tensor_op": 64, "product": 80, "cells": 80,
             "shuffle": 115, "unit": 280}
         assert {kind: sum(i.misses for i in info) for kind, info in infos.items()} == {
             "object": 62, "units": 40, "tensor_op": 18, "product": 45, "cells": 24, "shuffle": 40,
@@ -596,7 +597,28 @@ class TestSImageCounts:
             monkeypatch.setattr(tensor, name, counting(name, getattr(tensor, name)))
         report = check_s_suite((terminal_multicat(3), TWO), 1)
         assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
-        assert calls == {"s_morphism": 122, "s_constraint": 115}
+        assert calls == {"s_morphism": 80, "s_constraint": 115}
+
+    def test_check_s_maps_each_window_tuple_once(self, monkeypatch):
+        # the functoriality checks and the multilinear check read one kept
+        # image of each window tuple; the suite's S is the first functor built
+        mapped = []
+        honest = tensor.s_morphism
+
+        def recording(Ms, mors, pieces=None):
+            mapped.append((pieces, mors))
+            return honest(Ms, mors, pieces)
+
+        monkeypatch.setattr(tensor, "s_morphism", recording)
+        check_s_suite((terminal_multicat(3), TWO), 1)
+        suite_pieces = mapped[0][0]
+        by_suite = Counter(mors for pieces, mors in mapped if pieces is suite_pieces)
+        sources = [FreePermCat(M) for M in (terminal_multicat(3), TWO)]
+        window = list(itertools.product(*(window_mors(F, F.enumerate_objects(1))
+                                          for F in sources)))
+        assert [by_suite[fs] for fs in window] == [1] * 9
+        # the rest are tuples outside the window, mapped by value once per use
+        assert sum(by_suite.values()) == 44
 
     def test_validate_nlinear_builds_each_window_image_and_constraint_once(self):
         S = s_functor((terminal_multicat(3), TWO))
@@ -685,3 +707,62 @@ class TestSImageCounts:
             nested = image.components[0]
             assert (nested.components, nested.twist) == (component.components, component.twist)
             assert (image.components[1], image.twist) == (fresh.components[1], fresh.twist)
+
+
+class TestAdjunctionKernelWork:
+    """The work of ``check_adjunction_suite``, pinned: nearly all of it is
+    the two counit squares, one pass over 9,801 tuples of window morphisms."""
+
+    def test_check_adjunction_kernel_work(self, monkeypatch):
+        s_calls, fixture_calls, counit_calls, acting = Counter(), [], [], []
+        honest_s, honest_fixture = tensor.s_morphism, transforms.sign_multiplication
+        honest_epsilon, honest_action = transforms.epsilon, endo.endo_action
+
+        def counting_s(*args):
+            s_calls["s_morphism"] += 1
+            return honest_s(*args)
+
+        def counting_fixture(*args):
+            P = honest_fixture(*args)
+            calls = Counter()
+            fixture_calls.append(calls)
+
+            def mor_map(fs):
+                calls["action" if acting else "square"] += 1
+                return P.mor_map(fs)
+
+            return replace(P, mor_map=mor_map)
+
+        def flagged_action(P, mus):
+            acting.append(P)
+            try:
+                return honest_action(P, mus)
+            finally:
+                acting.pop()
+
+        def counting_epsilon(C):
+            E = honest_epsilon(C)
+            counit_calls.append(0)
+            slot = len(counit_calls) - 1
+
+            def on_mor(mor):
+                counit_calls[slot] += 1
+                return E.on_mor(mor)
+
+            return replace(E, mor_map=on_mor)
+
+        monkeypatch.setattr(tensor, "s_morphism", counting_s)
+        monkeypatch.setattr(transforms, "sign_multiplication", counting_fixture)
+        monkeypatch.setattr(transforms, "epsilon", counting_epsilon)
+        monkeypatch.setattr(endo, "endo_action", flagged_action)
+        report = check_adjunction_suite(TWO, bool_or_permcat(), 1, 1)
+        assert report.passed, report.summary()
+        # S maps each of the 9,801 tuples once for both squares, and 4 more
+        # in the unit's square
+        assert s_calls == {"s_morphism": 9805}
+        # each fixture maps each of its 16 tuples of counit images once, and
+        # once per operation its induced functor acts on
+        assert fixture_calls == [{"square": 16, "action": 196}] * 2
+        # the triangles' two counits, then the squares': one per factor,
+        # shared, and one per fixture's target
+        assert counit_calls == [3, 5, 99, 99, 9801, 9801]

@@ -1,5 +1,6 @@
 """Unit/counit comparisons, triangle identities, marking, and the
 counit's non-naturality witness."""
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -17,8 +18,9 @@ from permcat.fixtures import (
     sign_permcat,
     super_sign_permcat,
     zmod_permcat,
+    zmod_sign_multiplication,
 )
-from permcat.documents import parse_document, serialize
+from permcat.documents import dumps, parse_document, serialize
 from permcat.free import FreeMorphism, FreePermCat
 from permcat.multicat import (
     Multifunctor,
@@ -254,27 +256,53 @@ class TestTriangles:
         assert "counit-after-free-unit" in report.violated_axioms()
 
 
+def sign_fixtures() -> tuple:
+    """The two sign multiplications of the counit square, with equal
+    sources: nonidentity first linearity constraint, then strict."""
+    return sign_multiplication(NEG, POS), sign_multiplication(POS, POS)
+
+
 class TestCounterexample:
+    # SHA-256 of each square report's JSON: every instance, in order, with
+    # every rendered witness
+    SQUARE_DIGESTS = [
+        "80f8338cde2ea80aaca52edc6e7c7b09a8b3b1505a9224fd0860947658066615",
+        "c9f9ce1ead638a07ec64f2f758244410a6abd2f939cd243e4b29a5bf0314b419"]
+
+    def test_square_reports_are_pinned(self):
+        # one pass over both fixtures gives each the report it had alone
+        reports = epsilon_square(sign_fixtures())
+        assert [hashlib.sha256(dumps(report.as_json()).encode()).hexdigest()
+                for report in reports] == self.SQUARE_DIGESTS
+
     def test_witness_exists_and_fails(self):
         P = sign_multiplication(NEG, POS)
         # the functor genuinely has a nonidentity constraint
         assert P.constraint(1, ("1", "1"), "1") == "0:-"
-        counts = [(c.axiom, c.instances, len(c.violations)) for c in epsilon_square(P).checks]
-        assert counts == [("square", 9801, 460)]
+        counts = [[(c.axiom, c.instances, len(c.violations)) for c in report.checks]
+                  for report in epsilon_square((P, sign_multiplication(POS, POS)))]
+        assert counts == [[("square", 9801, 460)], [("square", 9801, 0)]]
+
+    def test_unequal_sources_are_refused(self):
+        with pytest.raises(ValueError, match="equal sources"):
+            epsilon_square((sign_multiplication(NEG, POS), zmod_sign_multiplication(4)))
 
     def test_strict_square_acts_once_per_operation(self, monkeypatch):
-        asked, acted = Counter(), Counter()
+        fixtures = sign_fixtures()
+        asked, acted = [], [0] * len(fixtures)
         action, induced = endo.endo_action, transforms.decomposable_endo_multifunctor
 
         def counting_action(P, mus):
-            acted[mus] += 1
+            acted[next(k for k, Q in enumerate(fixtures) if Q is P)] += 1
             return action(P, mus)
 
         def recording_induced(P):
             F = induced(P)
+            ops = Counter()
+            asked.append(ops)
 
             def on_op(op):
-                asked[op.components, op.twist] += 1
+                ops[op.components, op.twist] += 1
                 return F.on_op(op)
 
             return replace(F, op_map=on_op)
@@ -285,11 +313,12 @@ class TestCounterexample:
         # makes exactly the calls of the first
         for _ in range(2):
             asked.clear()
-            acted.clear()
-            strict = epsilon_square(sign_multiplication(POS, POS))
+            acted[:] = [0] * len(fixtures)
+            _, strict = epsilon_square(fixtures)
             counts = [(c.axiom, c.instances, len(c.violations)) for c in strict.checks]
             assert counts == [("square", 9801, 0)]
-            assert sum(acted.values()) == len(asked) == 196
+            # each fixture's induced functor acts once per operation it is asked
+            assert acted == [len(ops) for ops in asked] == [196, 196]
 
     @pytest.mark.parametrize("alpha, violations", [(POS, 0), (NEG, 460)])
     def test_counit_images_computed_once_per_window_morphism(
@@ -309,12 +338,11 @@ class TestCounterexample:
             return replace(E, mor_map=on_mor)
 
         monkeypatch.setattr(transforms, "epsilon", counting_epsilon)
-        report = epsilon_square(sign_multiplication(alpha, POS))
+        [report] = epsilon_square((sign_multiplication(alpha, POS),))
         counts = [(c.axiom, c.instances, len(c.violations)) for c in report.checks]
         assert counts == [("square", 9801, violations)]
         # one counit per factor, then the counit of the target, once per square
         assert calls == [99, 99, 9801]
-
 
     def test_counit_sorts_once_per_index_map_and_source(self, monkeypatch):
         asked, sorts = [], []
@@ -337,12 +365,14 @@ class TestCounterexample:
 
         monkeypatch.setattr(transforms, "epsilon", recording_epsilon)
         monkeypatch.setattr(transforms, "perm_to_morphism", counting_sort)
-        report = epsilon_square(sign_multiplication(POS, POS))
-        counts = [(c.axiom, c.instances, len(c.violations)) for c in report.checks]
+        _, strict = epsilon_square(sign_fixtures())
+        counts = [(c.axiom, c.instances, len(c.violations)) for c in strict.checks]
         assert counts == [("square", 9801, 0)]
-        # each counit sorts once per distinct (index map, source) it is given
-        assert [len(pairs) for pairs in asked] == [29, 29, 316]
+        # each counit sorts once per distinct (index map, source) it is given:
+        # the factors' counits are shared, each fixture has its target's
+        assert [len(pairs) for pairs in asked] == [29, 29, 316, 316]
         assert len(sorts) == sum(len(pairs) for pairs in asked)
+
 
 class TestMarking:
     @pytest.mark.parametrize("C", PERMCATS, ids=lambda c: c.name)
