@@ -171,14 +171,14 @@ def decomposable_endo_multifunctor(P: NLinearFunctor) -> Multifunctor:
     """The action of a multilinear functor packaged as a multifunctor on
     the grid fragment of the endomorphism multicategories.
 
-    Each action is cached per raw operation (see the memo rule in the
-    README): the ``EndoOp`` itself in the unary case, its components and
-    twist otherwise."""
+    Only a grid operation's action is cached, per raw components and twist
+    (see the memo rule in the README): no caller asks for a unary one twice."""
     Es = tuple(endo_multicat(S) for S in P.sources)
     ED = endo_multicat(P.target)
     unary = len(Es) == 1    # the grid of one factor is that factor itself
     if unary:
-        on_op = cache(lambda op: endo_action(P, (op,)))
+        def on_op(op):
+            return endo_action(P, (op,))
     else:
         action = cache(lambda components, twist: ED.act(endo_action(P, components), twist))
 

@@ -554,7 +554,8 @@ def window_images(P: NLinearFunctor, hom_lists: Sequence) -> Callable:
     :func:`permcat.reports.numbering` of ``hom_lists`` (one list per
     source), and maps every other tuple by value.  A source whose equal
     morphisms lack one raw form, the free category of a grid, is not
-    numbered (see the memo rule in the README)."""
+    numbered (see the memo rule in the README).  Its one caller is
+    :func:`permcat.tensor.check_s_suite`."""
     numbered = [numbering(hs)[:2] if _compares_raw(S) else ((), {})
                 for S, hs in zip(P.sources, hom_lists)]
     kept = cache(lambda *idx: P.on_mor(tuple(hs[i] for (hs, _), i in zip(numbered, idx))))
@@ -575,10 +576,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
     component unclassified; one that is ill-typed is also a counted
     ``constraint-invertibility`` violation, the only instances of that check.
 
-    The image of each tuple of window morphisms is kept by
-    :func:`window_images`, each constraint component under its raw
-    objects, and everything else is mapped, compared, composed and summed
-    by value (see the memo rule in the README).
+    Morphisms are mapped through ``P`` as given (see :func:`window_images`),
+    each constraint component is kept under its raw objects, and everything
+    else is compared, composed and summed by value (see the memo rule in
+    the README).
     """
     D = P.target
     report = CheckReport("n-linear-functor")
@@ -589,11 +590,10 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         return report
     wins, obj_tuples, hom_lists = _windows(P, objects)
     mor_tuples = list(itertools.product(*hom_lists))
-    image = window_images(P, hom_lists)
     constraint = cache(P.constraint)
 
     for fs in mor_tuples:
-        im = image(fs)
+        im = P.on_mor(fs)
         report.expect("functor-typing",
                       (D.src(im), D.tgt(im)),
                       (P.on_obj(tuple(S.src(f) for S, f in zip(P.sources, fs))),
@@ -601,15 +601,15 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                       ("typing", fs))
     for X in obj_tuples:
         ids = tuple(S.identity(x) for S, x in zip(P.sources, X))
-        report.expect("functor-identities", image(ids), D.identity(P.on_obj(X)), ("id", X))
+        report.expect("functor-identities", P.on_mor(ids), D.identity(P.on_obj(X)), ("id", X))
     afters = [by_source(S.src, hs) for S, hs in zip(P.sources, hom_lists)]
     for fs in mor_tuples:
         for gs in itertools.product(*(after.get(S.tgt(f), ())
                                       for S, after, f in zip(P.sources, afters, fs))):
             report.evaluate("functor-composition",
-                            lambda: image(tuple(S.compose(g, f)
-                                                for S, f, g in zip(P.sources, fs, gs))),
-                            lambda: D.compose(image(gs), image(fs)),
+                            lambda: P.on_mor(tuple(S.compose(g, f)
+                                                   for S, f, g in zip(P.sources, fs, gs))),
+                            lambda: D.compose(P.on_mor(gs), P.on_mor(fs)),
                             (gs, fs))
 
     all_strict = True
@@ -621,7 +621,7 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
         for fs in mor_tuples:
             unit_id = Cj.identity(Cj.unit)
             report.expect("unity",
-                          image(replace_at(fs, j, unit_id)),
+                          P.on_mor(replace_at(fs, j, unit_id)),
                           D.identity(D.unit), ("morphism", j, fs))
         for X in obj_tuples:
             for X2 in wins[j - 1]:
@@ -646,9 +646,9 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                     "constraint-naturality",
                     lambda: D.compose(
                         constraint(j, Y, Cj.tgt(f2)),
-                        D.sum_mor(image(fs), image(replace_at(fs, j, f2)))),
+                        D.sum_mor(P.on_mor(fs), P.on_mor(replace_at(fs, j, f2)))),
                     lambda: D.compose(
-                        image(replace_at(fs, j, Cj.sum_mor(fs[j - 1], f2))),
+                        P.on_mor(replace_at(fs, j, Cj.sum_mor(fs[j - 1], f2))),
                         constraint(j, X, Cj.src(f2))),
                     (j, fs, f2))
         for X in obj_tuples:
@@ -670,7 +670,7 @@ def validate_nlinear(P: NLinearFunctor, objects: Sequence | None = None) -> Chec
                 report.evaluate(
                     "constraint-symmetry",
                     lambda: D.compose(
-                        image(tuple(
+                        P.on_mor(tuple(
                             Cj.xi(X[j - 1], X2) if i == j - 1
                             else P.sources[i].identity(X[i])
                             for i in range(P.arity))),

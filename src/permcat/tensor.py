@@ -447,16 +447,14 @@ def s_object(Ms: tuple, xs: tuple) -> Profile:
     return grid_object(tuple(tuple(x) for x in xs))
 
 
-def s_morphism(Ms: tuple, mors: tuple, pieces: SPieces | None = None) -> FreeMorphism:
-    """The image morphism: the product index map with the iterated tensor
-    of the fiber operations (identity twists) as entries.  ``pieces``
-    holds what is already built; a fresh one by default."""
-    if len(Ms) == 0:
+def s_morphism(pieces: SPieces, mors: tuple) -> FreeMorphism:
+    """The image morphism under the ``S`` that owns ``pieces``: the product
+    index map with the iterated tensor of the fiber operations (identity
+    twists) as entries."""
+    if len(pieces.Ms) == 0:
         return free_identity(initial_operad(), ())
-    if len(Ms) == 1:
+    if len(pieces.Ms) == 1:
         return mors[0]
-    if pieces is None:
-        pieces = SPieces(Ms)
     index = pieces.product(*(m.index_map for m in mors))
     targets = tuple(tuple(m.target) for m in mors)
     t_sizes = tuple(len(t) for t in targets)
@@ -489,19 +487,16 @@ def s_constraint_map(b: int, sizes: tuple, hat_b: int) -> FinMap:
     return FinMap(first + second, first + second, tuple(images))
 
 
-def s_constraint(Ms: tuple, b: int, xs: tuple, hat_xb: tuple,
-                 pieces: SPieces | None = None) -> FreeMorphism:
-    """The b-th linearity constraint of ``S``: a permutation of entries
-    with unit operations, determined positionally by source and target.
-    ``pieces`` is as in :func:`s_morphism`."""
-    n = len(Ms)
+def s_constraint(pieces: SPieces, b: int, xs: tuple, hat_xb: tuple) -> FreeMorphism:
+    """The b-th linearity constraint of the ``S`` that owns ``pieces``: a
+    permutation of entries with unit operations, determined positionally
+    by source and target."""
+    n = len(pieces.Ms)
     if not 1 <= b <= n:
         raise ValueError(f"factor index {b} out of range 1..{n}")
     if n == 1:
         merged = tuple(xs[0]) + tuple(hat_xb)
-        return free_identity(Ms[0], merged)
-    if pieces is None:
-        pieces = SPieces(Ms)
+        return free_identity(pieces.Ms[0], merged)
     rho = pieces.shuffle(b, tuple(len(x) for x in xs), len(hat_xb))
     merged_xs = tuple(x if i != b - 1 else tuple(x) + tuple(hat_xb)
                       for i, x in enumerate(xs))
@@ -513,23 +508,21 @@ def s_constraint(Ms: tuple, b: int, xs: tuple, hat_xb: tuple,
 
 def s_functor(Ms: tuple) -> NLinearFunctor:
     """``S`` packaged as a strong multilinear functor between the free
-    category views.  It owns one :class:`SPieces`, so each object image,
-    tensor operation, index product, grid cell list and constraint shuffle
-    is built once per raw argument.  The functor keeps no whole morphism or
-    constraint image; the call that reuses one keeps it:
-    :func:`permcat.permcats.validate_nlinear` its window's constraints,
-    :func:`permcat.permcats.window_images` the images of window tuples,
-    and :func:`permcat.transforms.epsilon_square` none, since each image
-    serves every square at once (see the memo rule in the README)."""
-    Ms = tuple(Ms)
-    pieces = SPieces(Ms)
-    sources = tuple(FreePermCat(M) for M in Ms)
+    category views.  Its morphism and constraint images are built from its
+    one :class:`SPieces` alone, so each object image, tensor operation,
+    index product, grid cell list and constraint shuffle is built once per
+    raw argument.  It keeps no whole morphism or constraint image:
+    :func:`check_s_suite` keeps its window images, and
+    :func:`permcat.permcats.validate_nlinear` its constraint components
+    (see the memo rule in the README)."""
+    pieces = SPieces(tuple(Ms))
+    sources = tuple(FreePermCat(M) for M in pieces.Ms)
     target = FreePermCat(pieces.grid)
     return NLinearFunctor(
         sources, target,
         pieces.object,
-        lambda fs: s_morphism(Ms, fs, pieces),
-        (lambda b, X, X2: s_constraint(Ms, b, X, X2, pieces)) if Ms else None)
+        lambda fs: s_morphism(pieces, fs),
+        (lambda b, X, X2: s_constraint(pieces, b, X, X2)) if pieces.Ms else None)
 
 
 def f_multi(H: Multifunctor, Ms: tuple) -> NLinearFunctor:
@@ -557,10 +550,10 @@ def f_multi_nat(theta: MultiNat, Ms: tuple) -> NLinearNat:
 def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
     """The coherence suite of ``S`` on the factors ``Ms``: functoriality and
     strong multilinearity over the length-``max_len`` windows, then
-    naturality against identity and collapse multifunctors.  The suite's
-    ``S`` keeps the image of each tuple of window morphisms
-    (:func:`permcat.permcats.window_images`), so the functoriality checks
-    and the multilinear check map each of them once."""
+    naturality against identity and collapse multifunctors.  Its one ``S``
+    over ``Ms`` keeps the image of each tuple of window morphisms
+    (:func:`permcat.permcats.window_images`) for every check; only the
+    collapse targets get an ``S`` of their own."""
     report = CheckReport("comparison-functor-suite")
     S = s_functor(Ms)
     windows = [F.enumerate_objects(max_len) for F in S.sources]
@@ -583,19 +576,18 @@ def check_s_suite(Ms: tuple, max_len: int) -> CheckReport:
 
     bound = max((M.max_arity or 2) for M in Ms)
     collapse_target = terminal_multicat(max(bound * len(Ms), 4))
-    for label, Hs in [
-            ("identities", tuple(identity_multifunctor(M) for M in Ms)),
+    for label, Hs, S_N in [
+            ("identities", tuple(identity_multifunctor(M) for M in Ms), S),
             ("collapses", tuple(
                 Multifunctor(M, collapse_target, lambda c: "*",
                              lambda op, M=M: f"i{len(M.profile_of(op))}")
-                for M in Ms))]:
-        F_tensor = f_multi(tensor_of_multifunctors(Hs), Ms)
+                for M in Ms), s_functor((collapse_target,) * len(Ms)))]:
+        F_tensor = free_on_multifunctor(tensor_of_multifunctors(Hs))
         FHs = [free_on_multifunctor(H) for H in Hs]
-        S_N = s_functor(tuple(H.target for H in Hs))
         for xs in itertools.product(*(w[:6] for w in windows)):
             lhs = S_N.on_obj(tuple(FH.on_obj(x) for FH, x in zip(FHs, xs)))
-            report.expect("two-naturality", lhs, F_tensor.on_obj(xs), (label, xs))
+            report.expect("two-naturality", lhs, F_tensor.on_obj(S.on_obj(xs)), (label, xs))
         for fs in itertools.product(*(ms[:8] for ms in mor_lists)):
             lhs = S_N.on_mor(tuple(FH.on_mor(f) for FH, f in zip(FHs, fs)))
-            report.expect("two-naturality", lhs, F_tensor.on_mor(fs), (label, fs))
+            report.expect("two-naturality", lhs, F_tensor.on_mor(S.on_mor(fs)), (label, fs))
     return report

@@ -68,7 +68,7 @@ from permcat.tensor import (
     braid_multifunctor,
     check_s_suite,
     f_multi,
-    s_morphism,
+    s_functor,
     s_object,
     tensor_grid,
     tensor_op,
@@ -360,33 +360,13 @@ def test_criterion_2_free_construction_counts():
 
 def test_criterion_3_composition_coherence():
     F = FreePermCat(MTERM2, partial_homs=True)
-    objs = list(profiles(("*",), 3))
-    homs = {(a, b): F.hom(a, b) for a in objs for b in objs}
-    violations = 0
-    checked = 0
-    for a, b in itertools.product(objs, repeat=2):
-        for f in homs[a, b]:
-            if F.compose(f, F.identity(a)) != f or F.compose(F.identity(b), f) != f:
-                violations += 1
-            for c in objs:
-                for g in homs[b, c]:
-                    try:
-                        gf = F.compose(g, f)
-                    except Exception:
-                        continue
-                    for d in objs:
-                        for h in homs[c, d]:
-                            try:
-                                lhs = F.compose(h, gf)
-                                rhs = F.compose(F.compose(h, g), f)
-                            except Exception:
-                                continue
-                            checked += 1
-                            if lhs != rhs:
-                                violations += 1
-    print(f"  ({checked} associativity triples)")
-    verdict(3, "composition coherence on the arity-2 fixture, lengths <= 3",
-            violations == 0 and checked > 10_000)
+    report = validate_permcat(F, objects=list(profiles(("*",), 3)),
+                              interchange_objects=list(profiles(("*",), 1)))
+    counts = {c.axiom: c.instances for c in report.checks}
+    print(f"  ({counts['category-associativity']} associativity triples)")
+    suite_verdict(3, "composition coherence on the arity-2 fixture, lengths <= 3", report,
+                  counts["category-unity"] == 108
+                  and counts["category-associativity"] == 23_198)
 
 
 # ----------------------------------------------------------- criterion 4
@@ -443,11 +423,12 @@ def test_criterion_5_cat_multifunctoriality():
                             FinMap(r1 * r2, r1 * r2, W.inverse().images),
                             tuple(view.unit(c) for c in flat12))
 
+    S12, S21 = s_functor((M1, M2)), s_functor((M2, M1))
     trivial = corrected = 0
     for m1 in ms1:
         for m2 in ms2:
-            path1 = s_morphism((M1, M2), (m1, m2))
-            path2 = F_braid.on_mor(s_morphism((M2, M1), (m2, m1)))
+            path1 = S12.on_mor((m1, m2))
+            path2 = F_braid.on_mor(S21.on_mor((m2, m1)))
             if all(len(p) <= 1 for p in (m1.source, m1.target)) or \
                     all(len(p) <= 1 for p in (m2.source, m2.target)):
                 ok = ok and path1 == path2
@@ -496,7 +477,7 @@ def test_criterion_5_cat_multifunctoriality():
     for X in itertools.product(*wins):
         ok = ok and lhs_pkg.on_obj(X) == rhs_pkg.on_obj(X)
     frees = [FreePermCat(M, partial_homs=True) for M in flat_factors]
-    mor_windows = [[m for a in w for b in w for m in Fi.hom(a, b)][:4]
+    mor_windows = [[m for a in w for b in w for m in Fi.hom(a, b)]
                    for Fi, w in zip(frees, wins)]
     for fs in itertools.product(*mor_windows):
         ok = ok and lhs_pkg.on_mor(fs) == rhs_pkg.on_mor(fs)

@@ -26,6 +26,7 @@ from permcat.permcats import (
     identity_nlinear,
     validate_nlinear,
     validate_nlinear_nat,
+    window_images,
     window_mors,
 )
 from permcat.perms import (
@@ -51,10 +52,8 @@ from permcat.tensor import (
     f_multi_nat,
     grid_object,
     make_decomp,
-    s_constraint,
     s_constraint_map,
     s_functor,
-    s_morphism,
     s_object,
     tensor_grid,
     tensor_of_multifunctors,
@@ -212,13 +211,15 @@ class TestSFunctor:
     def test_preserves_identities(self):
         # every pair of lengths <= 2 over the arity-2 terminal fixture
         Ms = (MTERM2, MTERM2)
+        S = s_functor(Ms)
         for xs in itertools.product(profiles(("*",), 2), repeat=2):
-            image = s_morphism(Ms, tuple(free_identity(MTERM2, x) for x in xs))
+            image = S.on_mor(tuple(free_identity(MTERM2, x) for x in xs))
             assert image == free_identity(tensor_grid(Ms), s_object(Ms, xs))
 
     def test_preserves_composition_exhaustively(self):
         # lengths <= 2 over the arity-2 terminal fixture in both slots
         Ms = (MTERM2, MTERM2)
+        S = s_functor(Ms)
         F1 = FreePermCat(MTERM2, partial_homs=True)
         FT = FreePermCat(tensor_grid(Ms))
         objs = list(profiles(("*",), 2))
@@ -231,9 +232,8 @@ class TestSFunctor:
                     for a2, b2, c2 in itertools.product(objs, repeat=3):
                         for f2 in homs[a2, b2]:
                             for g2 in homs[b2, c2]:
-                                lhs = s_morphism(Ms, (left, F1.compose(g2, f2)))
-                                rhs = FT.compose(s_morphism(Ms, (g1, g2)),
-                                                 s_morphism(Ms, (f1, f2)))
+                                lhs = S.on_mor((left, F1.compose(g2, f2)))
+                                rhs = FT.compose(S.on_mor((g1, g2)), S.on_mor((f1, f2)))
                                 assert lhs == rhs
                                 checked += 1
         assert checked > 500
@@ -251,7 +251,7 @@ class TestSFunctor:
 
     def test_constraint_morphism_boundary(self):
         Ms = (TWO, SIGNS2)
-        c = s_constraint(Ms, 1, (("a",), star(2)), ("b",))
+        c = s_functor(Ms).constraint(1, (("a",), star(2)), ("b",))
         assert c.source == (("a", "*"), ("a", "*"), ("b", "*"), ("b", "*"))
         assert c.target == (("a", "*"), ("b", "*"), ("a", "*"), ("b", "*"))
 
@@ -280,6 +280,7 @@ class TestSNaturality:
         tensor_H = tensor_of_multifunctors((H1, H2))
         FH1, FH2 = free_on_multifunctor(H1), free_on_multifunctor(H2)
         F_tensor = free_on_multifunctor(tensor_H)
+        S_M, S_N = s_functor(Ms), s_functor(Ns)
         F1, F2 = FreePermCat(Ms[0], partial_homs=True), FreePermCat(Ms[1], partial_homs=True)
         objs1 = F1.enumerate_objects(2)
         objs2 = F2.enumerate_objects(2)
@@ -290,8 +291,8 @@ class TestSNaturality:
         mors1 = [m for a in objs1 for b in objs1 for m in F1.hom(a, b)][:12]
         mors2 = [m for a in objs2 for b in objs2 for m in F2.hom(a, b)][:12]
         for m1, m2 in itertools.product(mors1, mors2):
-            lhs = s_morphism(Ns, (FH1.on_mor(m1), FH2.on_mor(m2)))
-            rhs = F_tensor.on_mor(s_morphism(Ms, (m1, m2)))
+            lhs = S_N.on_mor((FH1.on_mor(m1), FH2.on_mor(m2)))
+            rhs = F_tensor.on_mor(S_M.on_mor((m1, m2)))
             assert lhs == rhs
 
     def test_multinat_version(self):
@@ -300,16 +301,17 @@ class TestSNaturality:
         theta = MultiNat(P, P, lambda c: "+1")
         pair = tensor_of_multinats((theta, theta))
         Ms = (SIGNS2, SIGNS2)
+        S = s_functor(Ms)
         for x1, x2 in itertools.product([star(0), star(1), star(2)], repeat=2):
             cells = s_object(Ms, (x1, x2))
-            whisker = s_morphism(Ms, (FreeMorphism(x1, x1,
-                                                   FinMap(len(x1), len(x1),
-                                                          tuple(range(1, len(x1) + 1))),
-                                                   tuple(theta.at("*") for _ in x1)),
-                                      FreeMorphism(x2, x2,
-                                                   FinMap(len(x2), len(x2),
-                                                          tuple(range(1, len(x2) + 1))),
-                                                   tuple(theta.at("*") for _ in x2))))
+            whisker = S.on_mor((FreeMorphism(x1, x1,
+                                             FinMap(len(x1), len(x1),
+                                                    tuple(range(1, len(x1) + 1))),
+                                             tuple(theta.at("*") for _ in x1)),
+                                FreeMorphism(x2, x2,
+                                             FinMap(len(x2), len(x2),
+                                                    tuple(range(1, len(x2) + 1))),
+                                             tuple(theta.at("*") for _ in x2))))
             direct = FreeMorphism(cells, cells,
                                   FinMap(len(cells), len(cells),
                                          tuple(range(1, len(cells) + 1))),
@@ -385,8 +387,8 @@ class TestSigmaSquare:
         Ms12 = (SIGNS2, TWO)
         Ms21 = (TWO, SIGNS2)
         braid = braid_multifunctor(SIGNS2, TWO)
-        path1 = s_morphism(Ms12, (m1, m2))
-        path2 = free_on_multifunctor(braid).on_mor(s_morphism(Ms21, (m2, m1)))
+        path1 = s_functor(Ms12).on_mor((m1, m2))
+        path2 = free_on_multifunctor(braid).on_mor(s_functor(Ms21).on_mor((m2, m1)))
         return path1, path2
 
     def transpose_cell(self, x1, x2):
@@ -571,16 +573,20 @@ class TestSImageCounts:
                      ("cells", pieces, lambda p: p.cells),
                      ("shuffle", pieces, lambda p: p.shuffle),
                      ("unit", views, lambda v: v.unit)]}
+        # one S over the factors and one over the collapse targets, each
+        # with its grid view, and each naturality row's tensor of
+        # multifunctors with a source and a target view
+        assert (len(pieces), len(views)) == (2, 6)
         # a call is a hit or a miss, and every miss builds the piece under
         # the functor (or grid view) that asked for it; the suite applies S
         # to each window tuple and validate_nlinear builds each constraint once
         assert {kind: sum(i.hits + i.misses for i in info) for kind, info in infos.items()} == {
-            "object": 1205, "units": 115, "tensor_op": 64, "product": 80, "cells": 80,
+            "object": 1151, "units": 115, "tensor_op": 52, "product": 53, "cells": 53,
             "shuffle": 115, "unit": 280}
         assert {kind: sum(i.misses for i in info) for kind, info in infos.items()} == {
-            "object": 62, "units": 40, "tensor_op": 18, "product": 45, "cells": 24, "shuffle": 40,
+            "object": 44, "units": 40, "tensor_op": 6, "product": 27, "cells": 12, "shuffle": 40,
             "unit": 2}
-        assert kernel_calls == {"s_object": 62, "s_constraint_map": 40}
+        assert kernel_calls == {"s_object": 44, "s_constraint_map": 40}
 
     def test_check_s_kernel_work(self, monkeypatch):
         # the work of check_s_suite on these factors, pinned: a change that
@@ -597,7 +603,7 @@ class TestSImageCounts:
             monkeypatch.setattr(tensor, name, counting(name, getattr(tensor, name)))
         report = check_s_suite((terminal_multicat(3), TWO), 1)
         assert {c.axiom: c.instances for c in report.checks} == self.INSTANCES
-        assert calls == {"s_morphism": 80, "s_constraint": 115}
+        assert calls == {"s_morphism": 53, "s_constraint": 115}
 
     def test_check_s_maps_each_window_tuple_once(self, monkeypatch):
         # the functoriality checks and the multilinear check read one kept
@@ -605,9 +611,9 @@ class TestSImageCounts:
         mapped = []
         honest = tensor.s_morphism
 
-        def recording(Ms, mors, pieces=None):
+        def recording(pieces, mors):
             mapped.append((pieces, mors))
-            return honest(Ms, mors, pieces)
+            return honest(pieces, mors)
 
         monkeypatch.setattr(tensor, "s_morphism", recording)
         check_s_suite((terminal_multicat(3), TWO), 1)
@@ -620,45 +626,36 @@ class TestSImageCounts:
         # the rest are tuples outside the window, mapped by value once per use
         assert sum(by_suite.values()) == 44
 
-    def test_validate_nlinear_builds_each_window_image_and_constraint_once(self):
+    def test_validate_nlinear_builds_each_constraint_once(self):
         S = s_functor((terminal_multicat(3), TWO))
         windows = [F.enumerate_objects(1) for F in S.sources]
-        images, constraints = Counter(), Counter()
-
-        def mor_map(fs):
-            images[fs] += 1
-            return S.mor_map(fs)
+        constraints = Counter()
 
         def constraint(*args):
             constraints[args] += 1
             return S.constraints(*args)
 
-        report = validate_nlinear(replace(S, mor_map=mor_map, constraints=constraint),
-                                  objects=windows)
+        report = validate_nlinear(replace(S, constraints=constraint), objects=windows)
         assert report.passed, report.summary()
-        window = set(itertools.product(*(window_mors(F, w)
-                                         for F, w in zip(S.sources, windows))))
-        assert {fs: images[fs] for fs in window} == dict.fromkeys(window, 1)
         assert set(constraints.values()) == {1}
-        # the tuples outside the window are mapped by value, once per use
-        assert (sum(images.values()), len(window), len(constraints)) == (44, 9, 115)
+        assert len(constraints) == 115
 
-    def test_validate_nlinear_maps_a_grid_source_by_value(self):
+    def test_window_images_maps_a_grid_source_by_value(self):
         # equal morphisms of a grid's free category can differ in raw form,
-        # so validate_nlinear finds none of them in its window memo: every
-        # use of a window morphism maps it again
-        F = FreePermCat(tensor_grid((MTERM2, TWO)))
-        window = F.enumerate_objects(1)
-        images = Counter()
+        # so window_images keeps none of their images: every use maps again;
+        # a source that compares raw has each window image mapped once
+        for F, uses in [(FreePermCat(tensor_grid((MTERM2, TWO))), 2), (FreePermCat(TWO), 1)]:
+            window = window_mors(F, F.enumerate_objects(1))
+            images = Counter()
 
-        def mor_map(fs):
-            images[fs] += 1
-            return fs[0]
+            def mor_map(fs):
+                images[fs] += 1
+                return fs[0]
 
-        report = validate_nlinear(replace(identity_nlinear(F), mor_map=mor_map),
-                                  objects=[window])
-        assert report.passed, report.summary()
-        assert sorted(images[(f,)] for f in window_mors(F, window)) == [17, 17, 20, 20, 24]
+            image = window_images(replace(identity_nlinear(F), mor_map=mor_map), [window])
+            for f in window * 2:
+                assert image((f,)) == f
+            assert [images[(f,)] for f in window] == [uses] * len(window)
 
     def test_a_raising_tensor_op_raises_on_every_call(self, monkeypatch):
         broken = swap_without_transposition()

@@ -51,7 +51,7 @@ def test_induced_functors_reach_the_module_s_morphism(monkeypatch):
     original = tensor.s_morphism
 
     def counting(*args):
-        calls.append(args[0])
+        calls.append(args[0].Ms)
         return original(*args)
 
     monkeypatch.setattr(tensor, "s_morphism", counting)
