@@ -154,17 +154,20 @@ def validate_permcat(C, objects: Sequence | None = None,
 
     ``interchange_objects`` optionally restricts the two quadratic-cost
     diagrams (sum interchange, morphism-level sum associativity) to a
-    smaller window; by default they run over the full window.  Instances
-    with a leg beyond the bound of a truncated view are not counted;
-    ill-typed components (a leg that cannot even be composed) are
+    smaller window; by default they run over the full window.  Every leg
+    is decided by :meth:`CheckReport.evaluate` or ``evaluate_row``:
+    instances with a leg beyond the bound of a truncated view are not
+    counted; ill-typed components (a leg that cannot even be composed) are
     violations.
 
     Composition works on the indices of :func:`permcat.reports.numbering`,
-    and the sums and the legs that compose them stay by value (see the
-    memo rule in the README).  Associativity is decided one row per
-    composable ``(g, f)``, over every ``h`` that can follow ``g``, and the
-    interchange law one row per ``(f, g, f2)``, over every ``g2`` that can
-    follow ``g`` (see the row rule in :mod:`permcat.reports`).
+    and so do the sums of two interchange-window morphisms, each built once
+    per index pair; the sums over the full window, and the legs that
+    compose them, stay by value (see the memo rule in the README).  Each
+    symmetry is built once per object pair.  Associativity is decided one
+    row per composable ``(g, f)``, over every ``h`` that can follow ``g``,
+    and the interchange law one row per ``(f, g, f2)``, over every ``g2``
+    that can follow ``g`` (see the row rule in :mod:`permcat.reports`).
     """
     objs = tuple(objects) if objects is not None else C.object_list()
     report = CheckReport(getattr(C, "name", "permcat"))
@@ -173,6 +176,8 @@ def validate_permcat(C, objects: Sequence | None = None,
 
     window, index, number = numbering(mors + heavy)
     composite = cache(lambda i, j: number(C.compose(window[i], window[j])))
+    pair_sum = cache(lambda i, j: C.sum_mor(window[i], window[j]))
+    xi = cache(C.xi)
 
     def compose(g, f):
         """``g`` after ``f`` by value, looked up for a window pair."""
@@ -182,9 +187,11 @@ def validate_permcat(C, objects: Sequence | None = None,
     def src(i: int):
         return C.src(window[i])
 
+    def ends(f) -> tuple:
+        return C.src(f), C.tgt(f)
+
     for x in objs:
-        e = C.identity(x)
-        report.expect("identity-typing", (C.src(e), C.tgt(e)), (x, x), ("id", x))
+        report.evaluate("identity-typing", lambda: ends(C.identity(x)), lambda: (x, x), ("id", x))
     for f in mors:
         i = index[f]
         report.evaluate("category-unity", lambda: composite(number(C.identity(C.tgt(f))), i),
@@ -202,65 +209,65 @@ def validate_permcat(C, objects: Sequence | None = None,
                                 lambda k: (window[k], window[i], f))
 
     for x in objs:
-        report.expect("sum-unity", C.sum_obj(C.unit, x), x, ("left", x))
-        report.expect("sum-unity", C.sum_obj(x, C.unit), x, ("right", x))
+        report.evaluate("sum-unity", lambda: C.sum_obj(C.unit, x), lambda: x, ("left", x))
+        report.evaluate("sum-unity", lambda: C.sum_obj(x, C.unit), lambda: x, ("right", x))
     for x, y, z in itertools.product(objs, repeat=3):
-        report.expect("sum-associativity",
-                      C.sum_obj(C.sum_obj(x, y), z), C.sum_obj(x, C.sum_obj(y, z)), (x, y, z))
+        report.evaluate("sum-associativity", lambda: C.sum_obj(C.sum_obj(x, y), z),
+                        lambda: C.sum_obj(x, C.sum_obj(y, z)), (x, y, z))
 
     for x, y in itertools.product(objs, repeat=2):
-        report.expect("sum-functoriality",
-                      C.sum_mor(C.identity(x), C.identity(y)),
-                      C.identity(C.sum_obj(x, y)), ("identities", x, y))
+        report.evaluate("sum-functoriality",
+                        lambda: C.sum_mor(C.identity(x), C.identity(y)),
+                        lambda: C.identity(C.sum_obj(x, y)), ("identities", x, y))
     for f in mors:
-        e_id = C.identity(C.unit)
-        report.expect("sum-unity-morphisms", C.sum_mor(e_id, f), f, ("left", f))
-        report.expect("sum-unity-morphisms", C.sum_mor(f, e_id), f, ("right", f))
+        report.evaluate("sum-unity-morphisms", lambda: C.sum_mor(C.identity(C.unit), f),
+                        lambda: f, ("left", f))
+        report.evaluate("sum-unity-morphisms", lambda: C.sum_mor(f, C.identity(C.unit)),
+                        lambda: f, ("right", f))
     for f, g in itertools.product(mors, repeat=2):
-        report.expect("sum-typing",
-                      (C.src(C.sum_mor(f, g)), C.tgt(C.sum_mor(f, g))),
-                      (C.sum_obj(C.src(f), C.src(g)), C.sum_obj(C.tgt(f), C.tgt(g))),
-                      ("sum", f, g))
+        report.evaluate("sum-typing", lambda: ends(C.sum_mor(f, g)),
+                        lambda: (C.sum_obj(C.src(f), C.src(g)), C.sum_obj(C.tgt(f), C.tgt(g))),
+                        ("sum", f, g))
     # the interchange law on window indices: (f2 + g2) after (f + g)
     heavy_after = by_source(src, [index[f] for f in heavy])
     for f, g in itertools.product(heavy, repeat=2):
         i, j = index[f], index[g]
         for i2 in heavy_after.get(C.tgt(f), ()):
             report.evaluate_row("sum-functoriality",
-                                lambda j2: C.sum_mor(window[composite(i2, i)],
-                                                     window[composite(j2, j)]),
-                                lambda j2: compose(C.sum_mor(window[i2], window[j2]),
-                                                   C.sum_mor(f, g)),
+                                lambda j2: pair_sum(composite(i2, i), composite(j2, j)),
+                                lambda j2: compose(pair_sum(i2, j2), pair_sum(i, j)),
                                 heavy_after.get(C.tgt(g), ()),
                                 lambda j2: ("interchange", window[i2], f, window[j2], g))
     for f, g, h in itertools.product(heavy, repeat=3):
-        report.expect("sum-associativity",
-                      C.sum_mor(C.sum_mor(f, g), h), C.sum_mor(f, C.sum_mor(g, h)),
-                      ("morphisms", f, g, h))
+        i, j, k = index[f], index[g], index[h]
+        report.evaluate("sum-associativity",
+                        lambda: C.sum_mor(pair_sum(i, j), h), lambda: C.sum_mor(f, pair_sum(j, k)),
+                        ("morphisms", f, g, h))
 
     for x, y in itertools.product(objs, repeat=2):
-        s = C.xi(x, y)
-        report.expect("symmetry-typing",
-                      (C.src(s), C.tgt(s)), (C.sum_obj(x, y), C.sum_obj(y, x)), (x, y))
+        report.evaluate("symmetry-typing", lambda: ends(xi(x, y)),
+                        lambda: (C.sum_obj(x, y), C.sum_obj(y, x)), (x, y))
         report.evaluate("symmetry-involution",
-                        lambda: compose(C.xi(y, x), s),
+                        lambda: compose(xi(y, x), xi(x, y)),
                         lambda: C.identity(C.sum_obj(x, y)), (x, y))
     for x in objs:
-        report.expect("unit-symmetry", C.xi(x, C.unit), C.identity(x), ("right", x))
-        report.expect("unit-symmetry", C.xi(C.unit, x), C.identity(x), ("left", x))
+        report.evaluate("unit-symmetry", lambda: xi(x, C.unit), lambda: C.identity(x),
+                        ("right", x))
+        report.evaluate("unit-symmetry", lambda: xi(C.unit, x), lambda: C.identity(x),
+                        ("left", x))
     for f, g in itertools.product(mors, repeat=2):
         report.evaluate(
             "symmetry-naturality",
-            lambda: compose(C.xi(C.tgt(f), C.tgt(g)), C.sum_mor(f, g)),
-            lambda: compose(C.sum_mor(g, f), C.xi(C.src(f), C.src(g))),
+            lambda: compose(xi(C.tgt(f), C.tgt(g)), C.sum_mor(f, g)),
+            lambda: compose(C.sum_mor(g, f), xi(C.src(f), C.src(g))),
             (f, g))
     for x, y, z in itertools.product(objs, repeat=3):
         report.evaluate(
             "hexagon",
-            lambda: C.xi(x, C.sum_obj(y, z)),
+            lambda: xi(x, C.sum_obj(y, z)),
             lambda: compose(
-                C.sum_mor(C.identity(y), C.xi(x, z)),
-                C.sum_mor(C.xi(x, y), C.identity(z))),
+                C.sum_mor(C.identity(y), xi(x, z)),
+                C.sum_mor(xi(x, y), C.identity(z))),
             (x, y, z))
     return report
 

@@ -151,7 +151,7 @@ class FinMap:
     def __post_init__(self):
         if len(self.images) != self.domain:
             raise ValueError(f"{len(self.images)} images for domain {self.domain}")
-        if any(not 1 <= v <= self.codomain for v in self.images):
+        if self.images and (min(self.images) < 1 or max(self.images) > self.codomain):
             raise ValueError(f"images {self.images} out of range 1..{self.codomain}")
 
     def __call__(self, i: int) -> int:

@@ -335,6 +335,8 @@ class TestKernelWork:
             monkeypatch.setattr(owner, name, counting)
 
         count(free, "free_compose", "free_compose")
+        count(free, "free_symmetry", "free_symmetry")
+        count(free, "free_sum", "free_sum")
         count(FinMulticat, "compose", "compose")
         count(Multicat, "check_composite", "check_composite")
         out = tmp_path / "report.json"
@@ -342,5 +344,8 @@ class TestKernelWork:
         assert run_command(argv) == 0
         checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
         assert {c["axiom"]: c["instances"] for c in checks} == self.INSTANCES
-        # the base boundary is checked once per distinct gamma key
-        assert calls == {"free_compose": 2344, "compose": 8211, "check_composite": 10}
+        # the base boundary is checked once per distinct gamma key; each
+        # symmetry is built once per object pair, each sum of two
+        # interchange-window morphisms once per pair
+        assert calls == {"free_compose": 2344, "compose": 8211, "check_composite": 10,
+                         "free_symmetry": 15, "free_sum": 3231}

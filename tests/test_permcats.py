@@ -437,6 +437,154 @@ class TestOutOfWindowComposite:
         assert ill_typed[True] and ill_typed[False]
 
 
+class WithheldCall:
+    """``C`` with ``xi``, ``sum_mor``, ``sum_obj`` and ``identity`` counting
+    their calls per ``(name, *args)`` and raising ``error`` on the one call
+    ``withheld``."""
+
+    def __init__(self, C, withheld=None, error=None):
+        self.C, self.withheld, self.error = C, withheld, error
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.C, name)
+
+    def _call(self, name, *args):
+        self.calls[(name, *args)] += 1
+        if (name, *args) == self.withheld:
+            raise self.error(f"{name} withheld")
+        return getattr(self.C, name)(*args)
+
+    def xi(self, x, y):
+        return self._call("xi", x, y)
+
+    def sum_mor(self, f, g):
+        return self._call("sum_mor", f, g)
+
+    def sum_obj(self, x, y):
+        return self._call("sum_obj", x, y)
+
+    def identity(self, x):
+        return self._call("identity", x)
+
+
+def sum_and_symmetry_instances(F, objs, mors):
+    """Each instance of ``validate_permcat(F, objs)`` whose legs sum
+    morphisms or build a symmetry, as ``(axiom, witness, legs)`` in report
+    order, where ``legs(C)`` computes both legs by value in ``C``.  Call
+    ``legs`` before taking the next instance."""
+    e = F.unit
+    for x, y in itertools.product(objs, repeat=2):
+        yield ("sum-functoriality", ("identities", x, y),
+               lambda C: C.sum_mor(C.identity(x), C.identity(y)))
+    for f in mors:
+        yield "sum-unity-morphisms", ("left", f), lambda C: C.sum_mor(C.identity(e), f)
+        yield "sum-unity-morphisms", ("right", f), lambda C: C.sum_mor(f, C.identity(e))
+    for f, g in itertools.product(mors, repeat=2):
+        yield "sum-typing", ("sum", f, g), lambda C: C.sum_mor(f, g)
+    for f, g in itertools.product(mors, repeat=2):
+        for f2 in (f2 for f2 in mors if F.src(f2) == F.tgt(f)):
+            for g2 in (g2 for g2 in mors if F.src(g2) == F.tgt(g)):
+                yield ("sum-functoriality", ("interchange", f2, f, g2, g),
+                       lambda C: (C.sum_mor(C.compose(f2, f), C.compose(g2, g)),
+                                  C.compose(C.sum_mor(f2, g2), C.sum_mor(f, g))))
+    for f, g, h in itertools.product(mors, repeat=3):
+        yield ("sum-associativity", ("morphisms", f, g, h),
+               lambda C: (C.sum_mor(C.sum_mor(f, g), h), C.sum_mor(f, C.sum_mor(g, h))))
+    for x, y in itertools.product(objs, repeat=2):
+        yield "symmetry-typing", (x, y), lambda C: C.xi(x, y)
+        yield "symmetry-involution", (x, y), lambda C: C.compose(C.xi(y, x), C.xi(x, y))
+    for x in objs:
+        yield "unit-symmetry", ("right", x), lambda C: C.xi(x, e)
+        yield "unit-symmetry", ("left", x), lambda C: C.xi(e, x)
+    for f, g in itertools.product(mors, repeat=2):
+        yield ("symmetry-naturality", (f, g),
+               lambda C: (C.compose(C.xi(C.tgt(f), C.tgt(g)), C.sum_mor(f, g)),
+                          C.compose(C.sum_mor(g, f), C.xi(C.src(f), C.src(g)))))
+    for x, y, z in itertools.product(objs, repeat=3):
+        yield ("hexagon", (x, y, z),
+               lambda C: (C.xi(x, C.sum_obj(y, z)),
+                          C.compose(C.sum_mor(C.identity(y), C.xi(x, z)),
+                                    C.sum_mor(C.xi(x, y), C.identity(z)))))
+
+
+def instances_asking(withheld) -> dict:
+    """The rendered ill-typed witnesses, by axiom, of the instances of
+    ``validate_permcat(MTERM3_FREE, WINDOW)`` whose legs, computed by
+    value, make the call ``withheld``."""
+    expected = {}
+    for axiom, witness, legs in sum_and_symmetry_instances(MTERM3_FREE, WINDOW,
+                                                           TestWindowMemo.MORS):
+        recorder = WithheldCall(MTERM3_FREE)
+        legs(recorder)
+        if recorder.calls[withheld]:
+            expected.setdefault(axiom, []).append(render(("ill-typed", *witness)))
+    return expected
+
+
+def _free_mor(x, y):
+    return MTERM3_FREE.hom(x, y)[0]
+
+
+STAR, STAR2 = ("*",), ("*", "*")
+WITHHELD_CALLS = {
+    "xi-1-1": ("xi", STAR, STAR),
+    "xi-1-0": ("xi", STAR, ()),
+    "xi-0-2": ("xi", (), STAR2),
+    "sum-id1-id1": ("sum_mor", _free_mor(STAR, STAR), _free_mor(STAR, STAR)),
+    "sum-12-21": ("sum_mor", _free_mor(STAR, STAR2), _free_mor(STAR2, STAR)),
+    "sum-21-id0": ("sum_mor", _free_mor(STAR2, STAR), _free_mor((), ())),
+}
+
+
+class TestWithheldCall:
+    """A symmetry, a sum, an object sum or an identity that raises leaves
+    every instance that needs it unknown or ill-typed on its own, and
+    ``validate_permcat`` never raises.  Symmetries and interchange-window
+    sums are kept by value only, so a withheld one is asked again for each
+    such instance."""
+
+    @pytest.mark.parametrize("withheld", WITHHELD_CALLS.values(), ids=WITHHELD_CALLS)
+    def test_withheld_call_is_ill_typed_in_every_instance(self, withheld):
+        expected = instances_asking(withheld)
+        assert expected
+        C = WithheldCall(MTERM3_FREE, withheld, ComposabilityError)
+        report = validate_permcat(C, objects=WINDOW)
+        assert {c.axiom: c.instances for c in report.checks} == WINDOW_COUNTS
+        assert {c.axiom: [v.witness for v in c.violations]
+                for c in report.checks if c.violations} == expected
+        assert C.calls[withheld] == len(report.violations())
+
+    @pytest.mark.parametrize("withheld", WITHHELD_CALLS.values(), ids=WITHHELD_CALLS)
+    def test_withheld_call_out_of_bound_is_unknown(self, withheld):
+        withheld_counts = Counter({axiom: len(witnesses)
+                                   for axiom, witnesses in instances_asking(withheld).items()})
+        C = WithheldCall(MTERM3_FREE, withheld, BoundExceededError)
+        report = validate_permcat(C, objects=WINDOW)
+        assert report.passed, report.summary()
+        assert Counter({c.axiom: c.instances for c in report.checks}) == \
+            +(Counter(WINDOW_COUNTS) - withheld_counts)
+
+    @pytest.mark.parametrize("withheld", [("sum_obj", STAR, STAR), ("identity", STAR)],
+                             ids=["sum-obj-1-1", "identity-1"])
+    def test_withheld_object_leg_is_ill_typed(self, withheld):
+        C = WithheldCall(MTERM3_FREE, withheld, ComposabilityError)
+        report = validate_permcat(C, objects=WINDOW)
+        assert {c.axiom: c.instances for c in report.checks} == WINDOW_COUNTS
+        assert report.violations()
+        assert all(v.witness.startswith("(ill-typed, ") for v in report.violations())
+
+    def test_each_symmetry_built_once_per_object_pair(self):
+        C = WithheldCall(MTERM3_FREE)
+        assert validate_permcat(C, objects=WINDOW).passed
+        asked = Counter()
+        for _, _, legs in sum_and_symmetry_instances(MTERM3_FREE, WINDOW, TestWindowMemo.MORS):
+            recorder = WithheldCall(MTERM3_FREE)
+            legs(recorder)
+            asked.update(key for key in recorder.calls if key[0] == "xi")
+        assert {key: n for key, n in C.calls.items() if key[0] == "xi"} == dict.fromkeys(asked, 1)
+
+
 class TestSigmaAction:
     def test_identity_action(self):
         P = nlinear_sigma_act(MULT, identity_perm(2))

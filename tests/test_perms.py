@@ -174,6 +174,15 @@ class TestFinMap:
         with pytest.raises(ComposabilityError):
             finmap_compose(terminal_map(2), terminal_map(3))
 
+    def test_images_out_of_range_rejected(self):
+        for domain, codomain, images in [(2, 2, (1, 0)), (3, 2, (1, 3, 2)),
+                                         (1, 4, (-1,)), (1, 0, (1,))]:
+            with pytest.raises(ValueError, match=fr"^images .* out of range 1\.\.{codomain}$"):
+                FinMap(domain, codomain, images)
+        # an empty map has no image to range-check, whatever its codomain
+        for codomain in (0, 3):
+            assert FinMap(0, codomain, ()).fibers == ((),) * codomain
+
 
 class TestSigmaKgf:
     def test_both_identities(self):
